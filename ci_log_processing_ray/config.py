@@ -71,7 +71,8 @@ class PipelineConfig:
     #               file's rows are contiguous within a block (guaranteed when
     #               the upstream writer emits one parquet row group per file /
     #               build -- our corpus writer does).  Zero shuffle; the
-    #               100 TB path.
+    #               100 TB path.  Raises when a block boundary would make
+    #               the fill ambiguous (the layout contract is violated).
     #  - "grouped": exact regardless of physical layout -- shuffles only the
     #               files that actually contain timestamp-less rows.
     fill_mode: str = "batch"
@@ -83,10 +84,6 @@ class PipelineConfig:
     #    source family (conf:44-77).
     multiline_join: bool = False
     grok_fields: bool = False
-    # In batch mode, raise if a block boundary makes the carry-forward
-    # ambiguous (a block starts mid-file with unanchored leading rows) --
-    # i.e. the layout contract was violated.  Escape hatch: fill_mode="grouped".
-    strict_layout: bool = True
 
     # Dead-letter queue: when set, the row-at-a-time parse branches
     # (performance/subunit JSON -- the realistic poison vectors) write
@@ -102,10 +99,10 @@ class PipelineConfig:
     quarantine_dir: str | None = None
 
     # Skew note: the count aggregate needs no explicit salt -- the
-    # per-block combiner (stages/aggregate.py, flagship fan-out writer)
-    # collapses every block to O(#sinks x #severities) partial rows
-    # before the exchange, so a hot sink ships the same few bytes as a
-    # cold one.  Fill-mode "grouped" shuffles by coarse hash buckets of
+    # flagship fan-out writer (pipelines/flagship.py:make_fanout_writer)
+    # collapses every block to O(#partitions x #sinks x #severities)
+    # count partials, so a hot sink ships the same few bytes as a cold
+    # one.  Fill-mode "grouped" shuffles by coarse hash buckets of
     # the file key for the same reason.
 
     def index_name(self) -> str:

@@ -1,4 +1,4 @@
-"""Flagship pipeline: read -> parse -> enrich -> route -> write + aggregate.
+"""Flagship pipeline: read -> parse -> enrich -> route -> write + count.
 
 The Ray-Data-native equivalent of logscraper+logsender end to end
 (SURVEY.md section 3 "Rebuild lifecycle"):
@@ -6,17 +6,18 @@ The Ray-Data-native equivalent of logscraper+logsender end to end
     1. plan: anti-join pending input files vs committed manifests (J4/ST1)
     2. ds = read_parquet(pending, include_paths=True)          [source]
     3. parse (stateless map_batches over whole Arrow blocks)   [M1-M8, 2.9]
-    4. enrich (actor pool, broadcast build_meta + file config) [J1/J2]
+    4. enrich (broadcast build_meta + file config)             [J1/J2]
     5. route (sink column = dated index name)                  [S12/S13]
     6. write per-sink partitioned Parquet into a staged batch
-       dir, renamed into place (idempotent commit)
-    7. re-read the written columns -> per-(partition, sink, severity)
-       counts (A2); commit one lineage manifest per input file
+       dir; the writer's per-(partition, sink, severity) count
+       partials are its only output (A2)
+    7. rename each partition into place, then commit its
+       lineage manifest (idempotent commit)
     8. metrics manifest for the batch                          [ST5/A1]
 
-Consuming the pipeline exactly once (the write) keeps it fully
-streaming; the conformance aggregate reads back only 4 narrow columns
-of the columnar output instead of re-running the pipeline.
+Steps 3-5 (``route_rows``) and 6-8 (``write_and_commit``) are shared
+with the live pipeline (pipelines/live.py), which differs only in its
+source and its build-uuid partition ids.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
-from ray.data.aggregate import Sum
 
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
 from ..sources.readers import load_build_meta
@@ -43,8 +43,8 @@ from ..stages.route import apply_route
 from ..state.manifest import Manifest, ManifestStore, partition_id, pending_inputs
 
 
-def _attach_partition_ids(ds: ray.data.Dataset, paths: Sequence[str],
-                          num_cpus: float = 1.0) -> ray.data.Dataset:
+def _attach_partition_ids(ds: ray.data.Dataset,
+                          paths: Sequence[str]) -> ray.data.Dataset:
     """Replace the per-row 'path' string with a compact int32 partition id."""
     lut = {p: i for i, p in enumerate(paths)}
 
@@ -59,7 +59,26 @@ def _attach_partition_ids(ds: ray.data.Dataset, paths: Sequence[str],
         return batch.append_column("_partition", pid)
 
     return ds.map_batches(to_pid, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True, num_cpus=num_cpus)
+                          zero_copy_batch=True)
+
+
+def route_rows(
+    ds: ray.data.Dataset,
+    meta: pa.Table,
+    cfg: PipelineConfig,
+    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
+) -> ray.data.Dataset:
+    """parse -> enrich -> route over a token-sequence Dataset that
+    already carries its ``_partition`` column."""
+    ds = apply_parse(ds, cfg)
+    ds = apply_enrich(ds, meta, file_config)
+    ds = apply_route(ds, cfg)
+    # duplicate the sink as a data column: "sink" is the directory key
+    # at write time (stripped from the files), "sink_name" stays in the
+    # data so a reader of the files alone still sees each row's sink.
+    return ds.map_batches(
+        lambda t: t.append_column("sink_name", t["sink"]),
+        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
 def build_routed(
@@ -67,37 +86,25 @@ def build_routed(
     meta: pa.Table,
     cfg: PipelineConfig,
     file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
-    *,
-    enrich_concurrency: int | tuple[int, int] | None = None,
-    track_partitions: bool = True,
 ) -> ray.data.Dataset:
     """Assemble the lazy routed Dataset (no execution happens here).
 
     One read task per input parquet file (``override_num_blocks``):
     Ray then never splits a file into arbitrary row ranges, so parse
     blocks stay row-group-aligned -- the layout contract of the
-    batch-local carry-forward.  At corpus scale the file count (not
-    intra-file splitting) supplies the read parallelism.
-    """
-    from ..runtime import heavy_task_cpus
+    batch-local carry-forward (a finer override_num_blocks makes Ray
+    split blocks MID-FILE at row granularity).  At corpus scale the
+    file count (not intra-file splitting) supplies the read
+    parallelism; skew is handled at the LAYOUT level, the corpus writer
+    spreading a hot build's files across shards.
 
-    # ONE num_cpus for every stage so the whole chain FUSES into a
-    # single task operator: read -> parse -> enrich -> route -> (write)
-    # streams block-by-block with no inter-operator object-store hop.
-    hcpu = heavy_task_cpus()
+    Every stage keeps Ray's default CPU request, so the read fuses
+    with the whole map chain (and the writer) into ONE task operator:
+    a separate ReadParquet operator ships the whole decoded corpus
+    (~1 GB at sf0.1) through the object store between read and parse
+    (measured 2.97 s -> 2.30 s at sf0.1/32 CPUs once fused).
+    """
     paths = list(input_paths)
-    # exactly one read task per parquet file: Ray then never splits a
-    # file into arbitrary row ranges, which is the layout contract of
-    # the batch-local carry-forward (a finer override_num_blocks makes
-    # Ray split blocks MID-FILE at row granularity).  Skew is handled
-    # at the LAYOUT level instead: the corpus writer spreads a hot
-    # build's files across shards, so no single file dominates.
-    # the read must request the SAME num_cpus as the map chain or Ray
-    # will not fuse it in -- a separate ReadParquet operator ships the
-    # whole decoded corpus (~1 GB at sf0.1) through the object store
-    # between read and parse.  Fused: one operator, zero hop; measured
-    # 2.97 s -> 2.30 s at sf0.1/32 CPUs, identical outputs.
-    #
     # LPT order: feed the read LARGEST FILE FIRST so a hot build's
     # 3-4x-mean task starts in wave 1 instead of anchoring the final
     # wave (classic longest-processing-time makespan fix; partition
@@ -105,25 +112,9 @@ def build_routed(
     # byte-identical).
     read_order = sorted(paths, key=os.path.getsize, reverse=True)
     ds = ray.data.read_parquet(
-        read_order,
-        include_paths=track_partitions,
-        override_num_blocks=len(paths),
-        ray_remote_args={"num_cpus": hcpu},
-    )
-    if track_partitions:
-        ds = _attach_partition_ids(ds, list(input_paths), num_cpus=hcpu)
-    ds = apply_parse(ds, cfg, num_cpus=hcpu)
-    ds = apply_enrich(ds, meta, file_config, concurrency=enrich_concurrency,
-                      num_cpus=hcpu)
-    ds = apply_route(ds, cfg, num_cpus=hcpu)
-    # duplicate the sink as a data column: "sink" becomes the hive
-    # partition key at write time (stripped from the files), "sink_name"
-    # stays in the data for cheap read-back aggregation.
-    ds = ds.map_batches(
-        lambda t: t.append_column("sink_name", t["sink"]),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True,
-        num_cpus=hcpu)
-    return ds
+        read_order, include_paths=True, override_num_blocks=len(paths))
+    ds = _attach_partition_ids(ds, paths)
+    return route_rows(ds, meta, cfg, file_config)
 
 
 @dataclass
@@ -207,78 +198,57 @@ def make_fanout_writer(staging_dir: str,
     return write_and_count
 
 
-def _batch_digest(paths: Sequence[str]) -> str:
-    return hashlib.sha256("\n".join(sorted(paths)).encode()).hexdigest()[:16]
+def fanout_write(routed: ray.data.Dataset, staging_dir: str,
+                 pid_names: Sequence[str] | None = None) -> ray.data.Dataset:
+    """The lazy writer stage; its output rows are the count partials.
+    It keeps Ray's default CPU request so it fuses with the read."""
+    return routed.map_batches(
+        make_fanout_writer(staging_dir, pid_names), batch_format="pyarrow",
+        batch_size=None, zero_copy_batch=True)
 
 
-def aggregate_counts_from_dir(routed_dir: str) -> ray.data.Dataset:
-    """Per-(partition, sink, severity) counts from the written output,
-    reading only 4 narrow columns (columnar pruning at the read)."""
-    ds = ray.data.read_parquet(
-        routed_dir, columns=["_partition", "sink_name", "severity", "n_tok"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["_partition", "sink_name", "severity"]).aggregate(
-            [("n_tok", "count"), ("n_tok", "sum")])
-        return pa.table({
-            "_partition": g["_partition"],
-            "sink": g["sink_name"],
-            "severity": g["severity"],
-            "doc_count": g["n_tok_count"],
-            "tok_sum": g["n_tok_sum"],
-        })
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return partials.groupby(["_partition", "sink", "severity"]).aggregate(
-        Sum("doc_count", alias_name="doc_count"),
-        Sum("tok_sum", alias_name="tok_sum"))
+def _quarantined_rows(quarantine_dir: str) -> int:
+    """Total poison rows currently in the quarantine dir
+    (content-addressed files -> retry-stable)."""
+    if not os.path.isdir(quarantine_dir):
+        return 0
+    return sum(pq.ParquetFile(os.path.join(quarantine_dir, f)).metadata.num_rows
+               for f in os.listdir(quarantine_dir) if f.endswith(".parquet"))
 
 
-def run_pipeline(
-    input_paths: Sequence[str],
-    meta: pa.Table | str,
+def write_and_commit(
+    routed: ray.data.Dataset,
     out_dir: str,
-    cfg: PipelineConfig = PipelineConfig(),
-    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
+    store: ManifestStore,
+    pid_names: Sequence[str],
+    input_paths: Sequence[str],
+    cfg: PipelineConfig,
     *,
-    resume: bool = True,
     clock_now: float = 0.0,
-    enrich_concurrency: int | tuple[int, int] | None = None,
+    n_skipped: int = 0,
 ) -> RunResult:
-    """One pipeline tick: process pending partitions, commit manifests.
+    """The shared tail of a pipeline tick: staged fan-out write ->
+    per-partition rename -> manifest commit -> metrics manifest.
 
-    Idempotent AND duplicate-free across partial failures: output is
-    keyed by STABLE partition id (``routed/part-<pid>/sink=.../``); a
-    reprocessed partition's directory is replaced wholesale before its
-    manifest commits, so the routed tree never holds two copies of one
-    partition's rows.  Manifests commit only after the partition dir is
-    renamed into place -- the reference's commit-after-pool ordering
-    (logscraper.py:724-729) made exactly-once by determinism.
+    ``routed`` rows carry ``_partition`` = i for the partition whose
+    stable id is ``pid_names[i]`` and whose lineage input is
+    ``input_paths[i]``.  Idempotent AND duplicate-free across partial
+    failures: a reprocessed partition's directory is replaced wholesale
+    before its manifest commits, so the routed tree never holds two
+    copies of one partition's rows.  Manifests commit only after the
+    partition dir is renamed into place -- the reference's
+    commit-after-pool ordering (logscraper.py:724-729) made
+    exactly-once by determinism.
     """
-    if isinstance(meta, str):
-        meta = load_build_meta(meta)
-    store = ManifestStore(os.path.join(out_dir, "manifests"))
-    paths = sorted(input_paths)
-    pending = pending_inputs(paths, store) if resume else paths
+    digest = hashlib.sha256(
+        "\n".join(sorted(input_paths)).encode()).hexdigest()[:16]
     routed_root = os.path.join(out_dir, "routed")
-    if not pending:
-        return RunResult(None, _counts_from_manifests(store), [], 0, len(paths))
-
-    routed = build_routed(pending, meta, cfg, file_config,
-                          enrich_concurrency=enrich_concurrency)
-    digest = _batch_digest(pending)
-    pid_names = [partition_id(p) for p in pending]
     staging_dir = os.path.join(out_dir, ".staging", f"batch-{digest}")
     shutil.rmtree(staging_dir, ignore_errors=True)
     os.makedirs(staging_dir, exist_ok=True)
     os.makedirs(routed_root, exist_ok=True)
     # single streaming pass: per-sink fan-out write + count partials out
-    from ..runtime import heavy_task_cpus
-
-    counts_tbl = routed.map_batches(
-        make_fanout_writer(staging_dir, pid_names), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True,
-        num_cpus=heavy_task_cpus()).to_pandas()
+    counts_tbl = fanout_write(routed, staging_dir, pid_names).to_pandas()
     # collapse possible per-block splits of one partition so manifest
     # checksums are independent of physical batching
     counts_tbl = counts_tbl.groupby(
@@ -286,12 +256,12 @@ def run_pipeline(
         ["doc_count", "tok_sum"]].sum()
 
     manifests: list[Manifest] = []
-    for i, path in enumerate(pending):
+    for i, (pid, path) in enumerate(zip(pid_names, input_paths)):
         # replace-then-commit, per partition: remove any prior copy of
         # this partition's output (a re-run after partial failure), move
         # the fresh one into place, THEN commit the manifest.
-        src = os.path.join(staging_dir, f"part-{pid_names[i]}")
-        dst = os.path.join(routed_root, f"part-{pid_names[i]}")
+        src = os.path.join(staging_dir, f"part-{pid}")
+        dst = os.path.join(routed_root, f"part-{pid}")
         shutil.rmtree(dst, ignore_errors=True)
         if os.path.isdir(src):
             os.rename(src, dst)
@@ -304,7 +274,7 @@ def run_pipeline(
                 for r in sub.itertuples()), default=str).encode()
         ).hexdigest()[:16]
         m = Manifest(
-            partition_id=partition_id(path),
+            partition_id=pid,
             input_path=path,
             row_count=int(sub["doc_count"].sum()),
             per_sink_counts=per_sink,
@@ -324,30 +294,50 @@ def run_pipeline(
 
     metrics = {
         "batch": digest,
-        "n_partitions": len(pending),
+        "n_partitions": len(pid_names),
         "total_docs": int(agg["doc_count"].sum()),
         "per_sink": {
             s: int(c) for s, c in
             agg.groupby("sink")["doc_count"].sum().items()},
     }
     if cfg.quarantine_dir is not None:
-        # dead-letter accounting: total poison rows currently in the
-        # quarantine dir (content-addressed files -> retry-stable)
-        qrows = 0
-        if os.path.isdir(cfg.quarantine_dir):
-            for f in os.listdir(cfg.quarantine_dir):
-                if f.endswith(".parquet"):
-                    qrows += pq.ParquetFile(
-                        os.path.join(cfg.quarantine_dir, f)
-                    ).metadata.num_rows
-        metrics["quarantined_rows"] = qrows
+        metrics["quarantined_rows"] = _quarantined_rows(cfg.quarantine_dir)
     metrics_dir = os.path.join(out_dir, "metrics")
     os.makedirs(metrics_dir, exist_ok=True)
     with open(os.path.join(metrics_dir, f"batch-{digest}.json"), "w") as f:
         json.dump(metrics, f, sort_keys=True)
 
-    return RunResult(routed_root, counts, manifests, len(pending),
-                     len(paths) - len(pending))
+    return RunResult(routed_root, counts, manifests, len(pid_names),
+                     n_skipped)
+
+
+def run_pipeline(
+    input_paths: Sequence[str],
+    meta: pa.Table | str,
+    out_dir: str,
+    cfg: PipelineConfig = PipelineConfig(),
+    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
+    *,
+    resume: bool = True,
+    clock_now: float = 0.0,
+) -> RunResult:
+    """One pipeline tick: process pending partitions, commit manifests.
+
+    Output is keyed by STABLE partition id
+    (``routed/part-<pid>/sink=.../``); see ``write_and_commit`` for the
+    exactly-once discipline.
+    """
+    if isinstance(meta, str):
+        meta = load_build_meta(meta)
+    store = ManifestStore(os.path.join(out_dir, "manifests"))
+    paths = sorted(input_paths)
+    pending = pending_inputs(paths, store) if resume else paths
+    if not pending:
+        return RunResult(None, _counts_from_manifests(store), [], 0, len(paths))
+    return write_and_commit(
+        build_routed(pending, meta, cfg, file_config), out_dir, store,
+        [partition_id(p) for p in pending], pending, cfg,
+        clock_now=clock_now, n_skipped=len(paths) - len(pending))
 
 
 def _counts_from_manifests(store: ManifestStore) -> pa.Table:

@@ -10,10 +10,11 @@ pipeline tick:
            + inventory fetch -> build_meta (S4/M12)
            -> parse -> enrich -> route -> per-sink fan-out write with
            conformance count partials (S12/A2)
-  driver: per-BUILD manifest commit after the partition rename -- the
-          exactly-once discipline of the batch pipeline with the build
-          uuid as the partition key, so a crashed run re-fetches only
-          uncommitted builds and a second identical run is a no-op.
+  driver: per-BUILD manifest commit after the partition rename, then
+          the tick's metrics manifest -- the batch pipeline's own
+          ``write_and_commit`` tail with the build uuid as the
+          partition key, so a crashed run re-fetches only uncommitted
+          builds and a second identical run is a no-op.
 
 All network access is injected (``get_json`` / ``fetcher_factory``):
 tests drive the whole path from dict-backed fakes; a deployment plugs
@@ -23,21 +24,14 @@ in urllib.  The engine still never imports an HTTP library.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import shutil
 from typing import Callable, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
-from ..state.manifest import Manifest, ManifestStore
-from ..stages.enrich import apply_enrich
-from ..stages.parse import apply_parse
-from ..stages.route import apply_route
+from ..state.manifest import ManifestStore
 from ..sources.zuul import (
     GetBytes,
     GetJson,
@@ -47,7 +41,12 @@ from ..sources.zuul import (
     read_zuul_builds,
     zuul_complete_param,
 )
-from .flagship import RunResult, _counts_from_manifests, make_fanout_writer
+from .flagship import (
+    RunResult,
+    _counts_from_manifests,
+    route_rows,
+    write_and_commit,
+)
 
 
 def _build_pid(uuid: str) -> str:
@@ -128,54 +127,6 @@ def run_live(
 
     ds = rows.map_batches(add_pid, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
-    ds = apply_parse(ds, cfg)
-    ds = apply_enrich(ds, meta, file_config)
-    ds = apply_route(ds, cfg)
-
-    routed_root = os.path.join(out_dir, "routed")
-    digest = hashlib.sha256("\n".join(sorted(pid_names)).encode()
-                            ).hexdigest()[:16]
-    staging_dir = os.path.join(out_dir, ".staging", f"live-{digest}")
-    shutil.rmtree(staging_dir, ignore_errors=True)
-    os.makedirs(staging_dir, exist_ok=True)
-    os.makedirs(routed_root, exist_ok=True)
-    counts_tbl = ds.map_batches(
-        make_fanout_writer(staging_dir, pid_names), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True).to_pandas()
-    counts_tbl = counts_tbl.groupby(
-        ["_partition", "sink", "severity"], as_index=False)[
-        ["doc_count", "tok_sum"]].sum()
-
-    manifests: list[Manifest] = []
-    for i, uuid in enumerate(uuids):
-        src = os.path.join(staging_dir, f"part-{pid_names[i]}")
-        dst = os.path.join(routed_root, f"part-{pid_names[i]}")
-        shutil.rmtree(dst, ignore_errors=True)
-        if os.path.isdir(src):
-            os.rename(src, dst)
-        sub = counts_tbl[counts_tbl["_partition"] == i]
-        per_sink = (
-            sub.groupby("sink")["doc_count"].sum().astype(int).to_dict())
-        checksum = hashlib.sha256(
-            json.dumps(sorted(
-                (r.sink, r.severity, int(r.doc_count), int(r.tok_sum))
-                for r in sub.itertuples()), default=str).encode()
-        ).hexdigest()[:16]
-        m = Manifest(
-            partition_id=pid_names[i],
-            input_path=f"zuul://{uuid}",
-            row_count=int(sub["doc_count"].sum()),
-            per_sink_counts=per_sink,
-            token_checksum=checksum,
-            committed_at=clock_now,
-        )
-        store.commit(m)
-        manifests.append(m)
-    shutil.rmtree(staging_dir, ignore_errors=True)
-
-    agg = (counts_tbl.groupby(["sink", "severity"], as_index=False)[
-        ["doc_count", "tok_sum"]].sum())
-    counts = pa.Table.from_pandas(
-        agg.sort_values(["sink", "severity"]).reset_index(drop=True),
-        preserve_index=False)
-    return RunResult(routed_root, counts, manifests, len(builds), 0)
+    return write_and_commit(
+        route_rows(ds, meta, cfg, file_config), out_dir, store, pid_names,
+        [f"zuul://{u}" for u in uuids], cfg, clock_now=clock_now)

@@ -25,33 +25,3 @@ def tune_worker_threads(io_threads: int = 2) -> None:
     pa.set_io_thread_count(io_threads)
     _TUNED = True
 
-
-def heavy_task_cpus(knee: int = 0) -> float:
-    """CPU request for the flagship's heavy vectorized stages.
-
-    History: while the parquet read was a SEPARATE operator, aggregate
-    parse throughput peaked near ~20 concurrent heavy tasks (read tasks
-    and parse tasks double-subscribed memory bandwidth), so this capped
-    heavy-stage concurrency at ``ncpu/knee`` CPUs per task.  Once the
-    read fused into the chain (one operator, no object-store hop) the
-    contention source disappeared and the cap INVERTED into a loss:
-    interleaved A/B at sf0.1/32 CPUs measured knee=20 at 2.73-2.97 s vs
-    full subscription at 2.14-2.15 s.  Default is therefore NO cap
-    (1.0 CPU per task, every slot used); ``GRAFT_HEAVY_KNEE`` remains
-    as an experiment override.  NOTE: every stage in the fused chain
-    must request the SAME value or Ray will not fuse the plan.
-    """
-    import os
-
-    import ray
-
-    knee = int(os.environ.get("GRAFT_HEAVY_KNEE", knee))
-    if knee <= 0:
-        return 1.0
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        return 1.0
-    if ncpu <= knee:
-        return 1.0
-    return round(ncpu / knee, 2)

@@ -35,8 +35,8 @@ def load_build_meta(path: str) -> "pyarrow.Table":  # noqa: F821
 
     This is the broadcast side of the enrichment join (J1, SURVEY.md 2.4):
     one row per build, O(builds) rows total -- orders of magnitude smaller
-    than the log-line table, so it is ray.put() once and read inside each
-    enrich actor, never shuffled.
+    than the log-line table, so it is ray.put() once and read once per
+    enrich worker process, never shuffled.
     """
     return pq.read_table(path)
 

@@ -4,12 +4,13 @@ Re-expresses the per-build es_fields attachment (J1: every log line of a
 build gets the same ~20 metadata fields -- makeFields + the deepcopy per
 line at logsender.py:418,540) and the per-file decoration
 (filename/log_url/tags, logsender.py:540-545; get_file_info
-logsender.py:375-381) as a STATEFUL ACTOR POOL:
+logsender.py:375-381) as stateless tasks with PER-WORKER STATE:
 
 * the build_meta table (small side -- one row per build) is ``ray.put``
-  once on the driver; each actor fetches it ONCE in ``__init__`` and
-  dictionary-encodes the join key (ST2/ST6 semantics: per-worker state,
-  never re-shipped per batch, never shuffled);
+  once on the driver; each worker process builds one ``EnrichStage``
+  from it on first use and caches it (``make_enrich_fn``), so the join
+  key is dictionary-encoded ONCE per worker (ST2/ST6 semantics:
+  per-worker state, never re-shipped per batch, never shuffled);
 * per batch, the row's ``build_uuid`` is mapped to an index into the
   metadata table via a dict lookup over the batch's *unique* uuids
   (typically a handful per block), then every metadata column is attached
@@ -36,11 +37,11 @@ def _meta_columns(meta: pa.Table) -> list[str]:
 
 
 class EnrichStage:
-    """Callable actor class for ``map_batches(EnrichStage, concurrency=N)``."""
+    """Per-worker enrich state, called once per batch."""
 
     def __init__(
         self,
-        meta_ref,  # ray.ObjectRef of the build_meta pa.Table (broadcast)
+        meta_ref,  # build_meta pa.Table, or a ray.ObjectRef of it
         file_config: tuple[FileConfigEntry, ...],
     ):
         from ..runtime import tune_worker_threads
@@ -52,7 +53,7 @@ class EnrichStage:
         self.uuid_to_idx = {u: i for i, u in enumerate(uuids)}
         self.meta_cols = _meta_columns(self.meta)
         # file config lookup (get_file_info, logsender.py:375-381) --
-        # ordered endswith match on basenames; compiled once per actor.
+        # ordered endswith match on basenames; compiled once per worker.
         self.file_entries = [
             (os.path.basename(e.name), e.name, list(e.tags)) for e in file_config
         ]
@@ -133,38 +134,16 @@ def apply_enrich(
     ds: ray.data.Dataset,
     meta: pa.Table,
     file_config: tuple[FileConfigEntry, ...],
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    num_cpus: float = 1.0,
-    batch_size: int | None = None,
 ) -> ray.data.Dataset:
-    """Attach the enrich stage.
-
-    Default (``concurrency=None``): STATELESS TASKS over the broadcast
-    metadata ref with per-worker state caching -- fuses with read+parse
-    into one task operator at full cluster width and reuses Ray's warm
-    worker pool (an actor pool must cold-start its processes per run,
-    and upstream task stages fuse INTO it, capping read parallelism at
-    pool size).  Pass an int/tuple to force the actor-pool form -- the
-    right shape when per-worker init is heavy relative to the job (a
-    huge metadata dict, a model load) and you want gang-scheduled,
-    resource-isolated workers.
-    """
-    meta_ref = ray.put(meta)
-    if concurrency is None:
-        return ds.map_batches(
-            make_enrich_fn(meta_ref, file_config),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            num_cpus=num_cpus,
-        )
+    """Attach the enrich stage: stateless tasks over the broadcast
+    metadata ref with per-worker state caching.  They fuse with
+    read+parse into one task operator at full cluster width and reuse
+    Ray's warm worker pool (an actor pool would cold-start its
+    processes per run, and upstream task stages would fuse INTO it,
+    capping read parallelism at pool size)."""
     return ds.map_batches(
-        EnrichStage,
-        fn_constructor_args=(meta_ref, file_config),
+        make_enrich_fn(ray.put(meta), file_config),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
     )

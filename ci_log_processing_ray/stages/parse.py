@@ -129,7 +129,7 @@ def _segment_ids(file_ids: np.ndarray) -> np.ndarray:
 
 
 def _join_multiline(
-    tbl: pa.Table, lines: pa.Array, fid_np: np.ndarray, cfg: PipelineConfig
+    tbl: pa.Table, lines: pa.Array, fid_np: np.ndarray
 ) -> tuple[pa.Table, pa.Array]:
     """Fold continuation lines into their anchor event
     (openstack-filters.conf:12-43), segment-local: one event per anchor
@@ -152,15 +152,12 @@ def _join_multiline(
     starts = np.nonzero(start)[0]
     if len(starts) == n:
         return tbl, lines
-    if cfg.strict_layout and not anchors[0]:
-        first_line_no = int(
-            tbl["doc_id"][0].as_py().rsplit("/", 1)[1])
-        if first_line_no > 0:
-            raise ValueError(
-                "multiline-join ambiguity: block starts mid-file with a "
-                f"continuation row at doc_id={tbl['doc_id'][0].as_py()!r}; "
-                "its anchor lives in another block. Use file-aligned row "
-                "groups (one read task per file).")
+    if not anchors[0] and int(tbl["doc_id"][0].as_py().rsplit("/", 1)[1]):
+        raise ValueError(
+            "multiline-join ambiguity: block starts mid-file with a "
+            f"continuation row at doc_id={tbl['doc_id'][0].as_py()!r}; "
+            "its anchor lives in another block. Use file-aligned row "
+            "groups (one read task per file).")
     event = np.cumsum(start) - 1
     joined = pd.Series(np.asarray(lines, dtype=object)).groupby(
         event, sort=True).agg("\n".join)
@@ -233,7 +230,7 @@ def _parse_loglines(
     file_id = pc.binary_join_element_wise(build, fname, "/")
 
     if cfg.multiline_join and len(tbl):
-        tbl, lines = _join_multiline(tbl, lines, np.asarray(file_id), cfg)
+        tbl, lines = _join_multiline(tbl, lines, np.asarray(file_id))
         build, fname, line_no = _split_doc_id(tbl)
         file_id = pc.binary_join_element_wise(build, fname, "/")
 
@@ -244,26 +241,24 @@ def _parse_loglines(
     has_ts = pc.is_valid(ts_ex).to_numpy(zero_copy_only=False)
 
     if fill:
-        if cfg.strict_layout and len(tbl):
-            # Ambiguity check: if this block starts MID-FILE (first row's
-            # line_no > 0), the scan state of the earlier rows lives in a
-            # different block.  That is only a problem when it would change
-            # the output: a leading unanchored (no prior-ts) run needing
-            # carry-forward, or a banner candidate at the block head.
-            first_seg = seg == seg[0]
-            n0 = int(first_seg.sum())
-            if line_no[0].as_py() > 0:
-                lead_has = has_ts[:n0]
-                anchored = lead_has.cumsum() > 0
-                needs_fill = (~lead_has) & (~anchored)
-                if needs_fill.any() or banner[:n0][~anchored].any():
-                    raise ValueError(
-                        "carry-forward ambiguity: block starts mid-file at "
-                        f"doc_id={tbl['doc_id'][0].as_py()!r} with unanchored "
-                        "leading rows; the input layout violates the "
-                        "one-log-file-per-block contract. Re-write the input "
-                        "with file-aligned row groups and one read task per "
-                        "parquet file, or use fill_mode='grouped'.")
+        # Ambiguity check: if this block starts MID-FILE (first row's
+        # line_no > 0), the scan state of the earlier rows lives in a
+        # different block.  That is only a problem when it would change
+        # the output: a leading unanchored (no prior-ts) run needing
+        # carry-forward, or a banner candidate at the block head.
+        if len(tbl) and line_no[0].as_py() > 0:
+            n0 = int((seg == seg[0]).sum())
+            lead_has = has_ts[:n0]
+            anchored = lead_has.cumsum() > 0
+            needs_fill = (~lead_has) & (~anchored)
+            if needs_fill.any() or banner[:n0][~anchored].any():
+                raise ValueError(
+                    "carry-forward ambiguity: block starts mid-file at "
+                    f"doc_id={tbl['doc_id'][0].as_py()!r} with unanchored "
+                    "leading rows; the input layout violates the "
+                    "one-log-file-per-block contract. Re-write the input "
+                    "with file-aligned row groups and one read task per "
+                    "parquet file, or use fill_mode='grouped'.")
         ts_ser = pd.Series(ts_ex.to_pandas().values)
         seg_ser = pd.Series(seg)
         # banner dropped only while no earlier kept line in the file had a
@@ -699,20 +694,14 @@ def _sparse_reduce_fn(cfg: PipelineConfig, out_schema: pa.Schema):
     return reduce
 
 
-def apply_parse(ds: ray.data.Dataset, cfg: PipelineConfig,
-                num_cpus: float | None = None) -> ray.data.Dataset:
+def apply_parse(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
     """Attach the parse stage to a token-sequence Dataset."""
-    from ..runtime import heavy_task_cpus
-
-    if num_cpus is None:
-        num_cpus = heavy_task_cpus()
     if cfg.fill_mode == "batch":
         # batch_size=None => whole blocks; required by the contiguity
-        # assumption of the in-batch carry-forward.  num_cpus caps the
-        # concurrency of this bandwidth-bound stage at the measured knee.
+        # assumption of the in-batch carry-forward.
         return ds.map_batches(
             make_parse_fn(cfg), batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True, num_cpus=num_cpus)
+            zero_copy_batch=True)
     if cfg.fill_mode != "grouped":
         raise ValueError(cfg.fill_mode)
     # exact any-layout fill with a SPARSE shuffle: resolve in-block,
@@ -721,10 +710,10 @@ def apply_parse(ds: ray.data.Dataset, cfg: PipelineConfig,
     # the parsed data is produced once and read by both streams.
     parsed = ds.map_batches(
         make_parse_fn(cfg, fill=False), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True, num_cpus=num_cpus)
+        batch_size=None, zero_copy_batch=True)
     splitd = parsed.map_batches(
         _sparse_split_fn(cfg), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True, num_cpus=num_cpus).materialize()
+        zero_copy_batch=True).materialize()
     out_schema = splitd.schema().base_schema
     keep_names = [n for n in out_schema.names if n not in _HELPER_COLS]
     out_schema = pa.schema([(n, out_schema.field(n).type)

@@ -43,8 +43,7 @@ def make_route_fn(cfg: PipelineConfig):
     return route
 
 
-def apply_route(ds: ray.data.Dataset, cfg: PipelineConfig,
-                num_cpus: float = 1.0) -> ray.data.Dataset:
+def apply_route(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
     return ds.map_batches(
         make_route_fn(cfg), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True, num_cpus=num_cpus)
+        zero_copy_batch=True)

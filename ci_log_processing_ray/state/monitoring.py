@@ -68,10 +68,6 @@ class Monitoring:
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + int(amount)
 
-    def set_gauge(self, name: str, value: int) -> None:
-        with self._lock:
-            self._gauges[name] = int(value)
-
     # -- manifest ingestion -------------------------------------------
     def refresh_from_dir(self) -> int:
         """Fold every not-yet-seen ``batch-*.json`` manifest into the
@@ -113,10 +109,13 @@ class Monitoring:
             self.inc("cilog_partitions_total", amount=n_partitions)
             for sink, c in per_sink.items():
                 self.inc("cilog_docs_per_sink_total", {"sink": sink}, c)
-            if quarantined is not None and mtime >= self._gauge_mtime:
-                # newest-by-mtime wins: listdir order is digest order
-                self._gauge_mtime = mtime
-                self.set_gauge("cilog_quarantined_rows", quarantined)
+            with self._lock:
+                # newest-by-mtime wins: listdir order is digest order.
+                # compare and set under ONE lock hold, so two concurrent
+                # scrapes cannot leave an older value behind
+                if quarantined is not None and mtime >= self._gauge_mtime:
+                    self._gauge_mtime = mtime
+                    self._gauges["cilog_quarantined_rows"] = quarantined
         return new
 
     # -- exposition ---------------------------------------------------

@@ -107,3 +107,55 @@ def test_partial_manifest_skipped_then_picked_up(tmp_path):
                    "per_sink": {"s": 7}}, f)
     assert mon.refresh_from_dir() == 1      # picked up next scrape
     assert _metric_value(mon.render(), "cilog_docs_total") == 7
+
+
+def test_quarantine_gauge_follows_newest_mtime(tmp_path):
+    """The gauge shows the newest manifest by mtime, not by digest
+    order, whether the two land in one scan or in separate scans."""
+    mdir = str(tmp_path / "metrics")
+    # digest order (aaa < zzz) is the opposite of mtime order
+    _write_batch(mdir, "zzz", 1, {"s": 1}, quarantined=2)
+    _write_batch(mdir, "aaa", 1, {"s": 1}, quarantined=9)
+    os.utime(os.path.join(mdir, "batch-zzz.json"), (1000, 1000))
+    os.utime(os.path.join(mdir, "batch-aaa.json"), (2000, 2000))
+    mon = Monitoring(mdir)
+    assert mon.refresh_from_dir() == 2
+    assert _metric_value(mon.render(), "cilog_quarantined_rows") == 9
+    # an older manifest folded by a later scan leaves the gauge alone
+    _write_batch(mdir, "mmm", 1, {"s": 1}, quarantined=4)
+    os.utime(os.path.join(mdir, "batch-mmm.json"), (1500, 1500))
+    assert mon.refresh_from_dir() == 1
+    assert _metric_value(mon.render(), "cilog_quarantined_rows") == 9
+
+
+def test_concurrent_refresh_counts_once_and_keeps_newest_gauge(tmp_path):
+    """Scrapes race on one Monitoring: every manifest folds exactly once
+    and the gauge ends on the newest-by-mtime value."""
+    import sys
+    import threading
+
+    mdir = str(tmp_path / "metrics")
+    n = 40
+    for i in range(n):
+        _write_batch(mdir, f"d{i:03d}", 1, {"s": 1}, quarantined=i)
+        t = 1000 + (i * 7919) % n  # a permutation: mtime order != digests
+        os.utime(os.path.join(mdir, f"batch-d{i:03d}.json"), (t, t))
+    newest = max(range(n), key=lambda i: (i * 7919) % n)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            mon = Monitoring(mdir)
+            threads = [threading.Thread(target=mon.refresh_from_dir)
+                       for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            body = mon.render()
+            assert _metric_value(body, "cilog_batches_total") == n
+            assert _metric_value(body, "cilog_docs_total") == n
+            assert _metric_value(body, "cilog_quarantined_rows") == newest
+    finally:
+        sys.setswitchinterval(old)

@@ -2686,24 +2686,6 @@ def test_union_by_name_schema_drift(ray_session):
         union_by_name([a, c])
 
 
-def test_compact_dir_preserves_rows(ray_session, tmp_path):
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-    from ci_log_processing_ray.state.compact import compact_dir
-
-    src = tmp_path / "many"
-    src.mkdir()
-    for i in range(12):
-        _pq.write_table(_pa.table({"x": list(range(i * 10, i * 10 + 10))}),
-                        src / f"part-{i}.parquet")
-    out = tmp_path / "compacted"
-    rep = compact_dir(str(src), str(out), target_bytes=1 << 30)
-    assert rep == {"n_rows": 120, "files_in": 12, "files_out": 1}
-    back = _pq.read_table(sorted(map(str, out.glob("*.parquet")))[0])
-    assert sorted(back["x"].to_pylist()) == list(range(120))
-    assert (out / "_compacted").read_text().strip() == "120"
-
-
 def test_dense_grid_counts_zero_fill(ray_session):
     import datetime as _dt
     from ci_log_processing_ray.ops.window import dense_grid_counts

@@ -26,9 +26,8 @@ def expected(corpus_dir):
 def _routed_rows(ray_session, corpus_dir, cfg):
     _, info = corpus_dir
     meta = load_build_meta(info["paths"]["build_meta"])
-    ds = build_routed([info["paths"]["token_sequences"]], meta, cfg,
-                      track_partitions=False)
-    return ds.take_all()
+    return build_routed([info["paths"]["token_sequences"]], meta,
+                        cfg).take_all()
 
 
 def test_routed_row_set_equality(ray_session, corpus_dir, expected):
@@ -40,7 +39,7 @@ def test_routed_row_set_equality(ray_session, corpus_dir, expected):
         f"missing={list(want_set - got_set)[:5]} extra={list(got_set - want_set)[:5]}")
 
 
-def test_per_sink_severity_counts(ray_session, corpus_dir, expected):
+def test_per_sink_and_severity_counts(ray_session, corpus_dir, expected):
     _, want = expected
     got = _routed_rows(ray_session, corpus_dir, CFG)
     got_counts = collections.Counter((r["sink"], r["severity"]) for r in got)
@@ -268,7 +267,7 @@ def test_grouped_fill_exact_on_scrambled_layout(ray_session, corpus_dir,
     cfg = PipelineConfig(skip_debug=True, fill_mode="grouped")
     from ci_log_processing_ray.pipelines.flagship import build_routed
 
-    got = build_routed(shard_paths, meta, cfg, track_partitions=False).take_all()
+    got = build_routed(shard_paths, meta, cfg).take_all()
     got_key = sorted((r["doc_id"], r["sink"], r["ts"], r["severity"],
                       r["message"]) for r in got)
     want_key = sorted((r["doc_id"], r["sink"], r["ts"], r["severity"],
@@ -335,20 +334,43 @@ def test_partial_failure_resume(ray_session, corpus_dir, tmp_path):
     assert ondisk == sum(want.values())
 
 
-def test_flagship_plan_fuses_read(ray_session, corpus_dir):
-    """The read must fuse into the map chain (same num_cpus request on
-    every stage): a separate ReadParquet operator re-ships the whole
-    decoded corpus through the object store (measured 2.97 -> 2.30 s at
-    sf0.1/32 when fusion landed).  Guard the plan shape, not timings."""
+def test_flagship_plan_fuses_read(ray_session, corpus_dir, tmp_path):
+    """The read must fuse into the map chain AND the fan-out writer
+    (no stage sets a CPU request of its own): a separate ReadParquet
+    operator re-ships the whole decoded corpus through the object store
+    (measured 2.97 -> 2.30 s at sf0.1/32 when fusion landed).  Guard the
+    plan shape, not timings."""
+    from ci_log_processing_ray.pipelines.flagship import fanout_write
+
     _, info = corpus_dir
     meta = load_build_meta(info["paths"]["build_meta"])
-    ds = build_routed([info["paths"]["token_sequences"]], meta, CFG,
-                      track_partitions=False).materialize()
+    ds = fanout_write(
+        build_routed([info["paths"]["token_sequences"]], meta, CFG),
+        str(tmp_path)).materialize()
     ops = [line.split(":")[0].split(" ", 2)[-1]
            for line in ds.stats().splitlines()
            if line.startswith("Operator")]
     read_ops = [o for o in ops if "ReadParquet" in o]
-    assert read_ops and all("->" in o for o in read_ops), ops
+    assert read_ops and all("write_and_count" in o for o in read_ops), ops
+
+
+def test_drop_debug_severity_matches_reference(ray_session, corpus_dir):
+    """The DEBUG-severity drop rule (skip_debug off, so the substring
+    filter does not pre-empt it) routes exactly the reference's rows."""
+    _, info = corpus_dir
+    cfg = PipelineConfig(skip_debug=False, drop_debug_severity=True)
+    table = pq.read_table(info["paths"]["token_sequences"])
+    want = ref.expected_routed_rows(table, cfg)
+    kept_all = ref.expected_routed_rows(
+        table, PipelineConfig(skip_debug=False))
+    # binding: the rule drops DEBUG rows on this corpus, and only those
+    dropped = collections.Counter(r["severity"] for r in kept_all) - \
+        collections.Counter(r["severity"] for r in want)
+    assert set(dropped) == {"DEBUG"} and dropped["DEBUG"] > 0
+    got = _routed_rows(ray_session, corpus_dir, cfg)
+    key = ("doc_id", "sink", "severity", "ts", "message")
+    assert sorted(tuple(r[k] for k in key) for r in got) == \
+        sorted(tuple(r[k] for k in key) for r in want)
 
 
 def test_compact_routed_layout_and_idempotency(ray_session, tmp_path):

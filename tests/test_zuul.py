@@ -317,14 +317,29 @@ def test_run_live_end_to_end_and_idempotent(ray_session, tmp_path):
     # the aborted build synthesized its custom-result doc
     dead_files = [f for f in files if "part-build-dead-" in f]
     assert sum(_pq.read_metadata(f).num_rows for f in dead_files) == 1
+    # every routed file carries the sink as a data column, equal to
+    # its sink= directory
+    for f in files:
+        sink_dir = os.path.basename(os.path.dirname(f))[len("sink="):]
+        assert set(_pq.read_table(f, columns=["sink_name"])[
+            "sink_name"].to_pylist()) == {sink_dir}, f
+    # the tick wrote the same metrics manifest as a batch run, so
+    # --live --monitoring-port exports it
+    per_sink1 = {}
+    for (s, _), c in total1.items():
+        per_sink1[s] = per_sink1.get(s, 0) + c
+    metrics_files = _glob.glob(os.path.join(out, "metrics", "batch-*.json"))
+    assert len(metrics_files) == 1
+    with open(metrics_files[0]) as f:
+        metrics = json.load(f)
+    assert metrics["n_partitions"] == 2
+    assert metrics["total_docs"] == sum(total1.values())
+    assert metrics["per_sink"] == per_sink1
 
     # second run: anti-join vs committed manifests -> nothing pending,
     # cumulative per-sink counts unchanged
     res2 = run_live(get_json, lambda: site.get, zuul_url, out, cfg,
                     job_names=["tox"], max_builds=10)
     assert res2.n_pending == 0
-    per_sink1 = {}
-    for (s, _), c in total1.items():
-        per_sink1[s] = per_sink1.get(s, 0) + c
     got2 = {r["sink"]: r["doc_count"] for r in res2.counts.to_pylist()}
     assert got2 == per_sink1
