@@ -57,7 +57,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-debug", action="store_true",
                    help="drop lines containing DEBUG (logsender --skip-debug)")
     p.add_argument("--fill-mode", choices=["batch", "grouped"],
-                   default="batch")
+                   default="batch",
+                   help="batch: parse each block where it lies (inputs "
+                        "must keep each log file's rows contiguous and in "
+                        "line order within a parquet row group); grouped: "
+                        "any layout, shuffling each file into one bucket "
+                        "and sorting it first")
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess inputs even if manifests exist")
     p.add_argument("--follow", action="store_true",

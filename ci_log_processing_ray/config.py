@@ -66,15 +66,17 @@ class PipelineConfig:
     # year patch for year-less formats (logsender.py:354-356 uses today().year).
     today_year: int = 2022
 
-    # Parse-stage carry-forward mode:
-    #  - "batch":   forward-fill within each Arrow block, assuming one log
-    #               file's rows are contiguous within a block (guaranteed when
-    #               the upstream writer emits one parquet row group per file /
-    #               build -- our corpus writer does).  Zero shuffle; the
-    #               100 TB path.  Raises when a block boundary would make
-    #               the fill ambiguous (the layout contract is violated).
-    #  - "grouped": exact regardless of physical layout -- shuffles only the
-    #               files that actually contain timestamp-less rows.
+    # Parse-stage input layout (both modes run the same per-block parse,
+    # stages/parse.py:make_parse_fn):
+    #  - "batch":   parse each Arrow block where it lies, assuming each log
+    #               file's rows are contiguous and in line order within a
+    #               block (guaranteed when the upstream writer emits one
+    #               parquet row group per file / build -- our corpus writer
+    #               does).  Zero shuffle; the 100 TB path.  Raises when a
+    #               block breaks the layout contract.
+    #  - "grouped": exact regardless of physical layout -- every row goes
+    #               through one bucketed exchange on its file key, and each
+    #               bucket is sorted by (file, line_no) before the parse.
     fill_mode: str = "batch"
     # Logstash-side semantics (openstack-filters.conf), opt-in because
     # the logsender reference path ships one doc per line:
@@ -102,8 +104,9 @@ class PipelineConfig:
     # flagship fan-out writer (pipelines/flagship.py:make_fanout_writer)
     # collapses every block to O(#partitions x #sinks x #severities)
     # count partials, so a hot sink ships the same few bytes as a cold
-    # one.  Fill-mode "grouped" shuffles by coarse hash buckets of
-    # the file key for the same reason.
+    # one.  Fill-mode "grouped" shuffles whole files into coarse hash
+    # buckets of the file key, so a hot build spreads over its files'
+    # buckets; one file's rows must fit in one bucket.
 
     def index_name(self) -> str:
         return self.index_prefix + self.run_date.strftime("%Y.%m.%d")

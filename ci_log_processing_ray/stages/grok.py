@@ -17,9 +17,11 @@ here as vectorized Arrow kernels:
     equivalent is "starts with a timestamp AND is not a
     ``TS  PID (TRACE|ERROR)`` continuation" (the NUMBER requirement is
     what keeps plain ERROR messages from folding -- conf:35-39).
-* ``multiline_join_*`` -- segment-local vectorized join (same
-  contiguity contract as the timestamp carry-forward) and a
-  bucketed-shuffle variant for arbitrary layouts.
+* ``join_runs`` -- segment-local vectorized join over rows in (file,
+  line) order; ``multiline_join`` runs it per bucket behind one
+  bucketed exchange for arbitrary layouts.  The parse stage's join
+  (``stages/parse.py:_join_multiline``) follows the same layout
+  contract as its timestamp carry-forward.
 * ``extract_grok_fields`` -- per-family RE2 re-expressions of the grok
   patterns (the regexes are the parse SPEC restated, not copied code;
   grok's Oniguruma ``(?m)`` means dot-matches-newline, hence ``(?s)``
@@ -148,9 +150,6 @@ def join_runs(file_ids: np.ndarray, anchors: np.ndarray,
     })
 
 
-_JOIN_BUCKETS = 64
-
-
 def multiline_join(
     ds: ray.data.Dataset,
     *,
@@ -159,18 +158,12 @@ def multiline_join(
     line_col: str,
     family: str = "console",
 ) -> ray.data.Dataset:
-    """Distributed multiline join for ARBITRARY layouts: one coarse
-    bucketed shuffle on hash(file), per-bucket sort by (file, order),
-    then the segment-local vectorized join.  Partitioning assumption:
-    one file's lines fit in one bucket group (same contract as the
-    grouped carry-forward).  Returns (file_id, anchor_ord, n_lines,
-    message)."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        fid = t[file_col].combine_chunks().to_numpy(zero_copy_only=False)
-        b = (pd.util.hash_array(fid.astype(object))
-             % _JOIN_BUCKETS).astype(np.int32)
-        return t.append_column("_jb", pa.array(b))
+    """Distributed multiline join for ARBITRARY layouts: one bucketed
+    exchange on hash(file) (``ops/window.py:bucketed_groups``), a
+    per-bucket sort by (file, order), then the segment-local vectorized
+    join.  Partitioning assumption: one file's lines fit in one bucket.
+    Returns (file_id, anchor_ord, n_lines, message)."""
+    from ..ops.window import bucketed_groups
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([file_col, order_col], kind="mergesort")
@@ -186,10 +179,7 @@ def multiline_join(
             "message": out["message"],
         })
 
-    return ds.map_batches(
-        add_bucket, batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True,
-    ).groupby("_jb").map_groups(per_bucket, batch_format="pandas")
+    return bucketed_groups(ds, file_col, per_bucket)
 
 
 def extract_grok_fields(

@@ -10,13 +10,16 @@ logsender.py:447-464), dispatched on the ``source`` column.
 Timestamp carry-forward (the stateful per-file scan of logsender.py:394-413)
 runs vectorized inside the batch via segment-aware forward fill.
 
-PARTITIONING ASSUMPTION (fill_mode="batch", the 100 TB path): one log
-file's rows are contiguous within a single Arrow block, in line order.
-This holds when the upstream writer emits parquet row groups that do not
-split files (our corpus writer emits one row group per build) because Ray
-Data never splits parquet row groups across blocks.  The parse stage must
-then be applied with ``batch_size=None`` (whole blocks).  For arbitrary
-layouts use fill_mode="grouped" (exact; shuffles by file_id).
+LAYOUT CONTRACT: within a block, each log file's rows form one contiguous
+run in strictly increasing line order, and a block that starts mid-file
+must not need the earlier rows' scan state.  The parse raises
+``ValueError`` when a block breaks the contract.  fill_mode="batch" (the
+100 TB path) parses whole blocks where they lie: the contract holds when
+the upstream writer emits parquet row groups that do not split files (our
+corpus writer emits one row group per build) and each file is one read
+task.  fill_mode="grouped" restores the contract for any layout: one
+bucketed exchange on the (build/filename) file key and a (file, line_no)
+sort per bucket, then the same parse.
 """
 
 from __future__ import annotations
@@ -118,18 +121,40 @@ def _finalize(tbl: pa.Table, cols: dict[str, pa.Array],
     return pa.table(out, schema=schema)
 
 
-def _segment_ids(file_ids: np.ndarray) -> np.ndarray:
-    """Contiguous-run segment ids (files are block-contiguous)."""
-    if len(file_ids) == 0:
-        return np.zeros(0, dtype=np.int64)
-    change = np.empty(len(file_ids), dtype=bool)
-    change[0] = True
-    change[1:] = file_ids[1:] != file_ids[:-1]
-    return np.cumsum(change) - 1
+def _segments(tbl: pa.Table) -> tuple[pa.Array, pa.Array, pa.Array,
+                                       np.ndarray, np.ndarray]:
+    """(build, filename, line_no, file ids, contiguous-run segment ids)."""
+    build, fname, line_no = _split_doc_id(tbl)
+    fid = np.asarray(pc.binary_join_element_wise(build, fname, "/"))
+    change = np.empty(len(fid), dtype=bool)
+    change[:1] = True
+    change[1:] = fid[1:] != fid[:-1]
+    return build, fname, line_no, fid, np.cumsum(change) - 1
+
+
+def _check_layout(tbl: pa.Table, fid: np.ndarray, seg: np.ndarray,
+                  line_no: pa.Array) -> None:
+    """Raise unless each file's rows form one run in strictly increasing
+    line order (the scan state of a file split into several runs, or
+    out of order, is not in one place)."""
+    if len(seg) < 2:
+        return
+    ln = line_no.to_numpy(zero_copy_only=False)
+    bad = np.flatnonzero((seg[1:] == seg[:-1]) & (ln[1:] <= ln[:-1])) + 1
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    split = starts[pd.Series(fid[starts]).duplicated().to_numpy()]
+    if len(bad) or len(split):
+        at = min(bad[:1].tolist() + split[:1].tolist())
+        raise ValueError(
+            "parse layout violation: a block holds a file's rows in "
+            "several runs or out of line order, at doc_id="
+            f"{tbl['doc_id'][at].as_py()!r}. fill_mode='batch' needs each "
+            "file's rows contiguous and in line order within a block; use "
+            "fill_mode='grouped' for arbitrary layouts.")
 
 
 def _join_multiline(
-    tbl: pa.Table, lines: pa.Array, fid_np: np.ndarray
+    tbl: pa.Table, lines: pa.Array, seg: np.ndarray, mid_head: bool
 ) -> tuple[pa.Table, pa.Array]:
     """Fold continuation lines into their anchor event
     (openstack-filters.conf:12-43), segment-local: one event per anchor
@@ -145,19 +170,16 @@ def _join_multiline(
         fam = src_np == family
         if fam.any():
             anchors[fam] = anchor_mask(lines.filter(pa.array(fam)), family)
-    new_file = np.empty(n, dtype=bool)
-    new_file[0] = True
-    new_file[1:] = fid_np[1:] != fid_np[:-1]
-    start = anchors | new_file
-    starts = np.nonzero(start)[0]
-    if len(starts) == n:
-        return tbl, lines
-    if not anchors[0] and int(tbl["doc_id"][0].as_py().rsplit("/", 1)[1]):
+    if mid_head and not anchors[0]:
         raise ValueError(
             "multiline-join ambiguity: block starts mid-file with a "
             f"continuation row at doc_id={tbl['doc_id'][0].as_py()!r}; "
             "its anchor lives in another block. Use file-aligned row "
-            "groups (one read task per file).")
+            "groups (one read task per file), or fill_mode='grouped'.")
+    start = anchors | (np.diff(seg, prepend=-1) != 0)
+    starts = np.nonzero(start)[0]
+    if len(starts) == n:
+        return tbl, lines
     event = np.cumsum(start) - 1
     joined = pd.Series(np.asarray(lines, dtype=object)).groupby(
         event, sort=True).agg("\n".join)
@@ -199,9 +221,13 @@ def _extract_grok_cols(
 
 
 def _parse_loglines(
-    tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig, fill: bool
+    tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig
 ) -> pa.Table:
     """The logline_iter + doc_iter + grok-drop path, vectorized."""
+    # Does the block start mid-file?  Decided on the first INPUT row: a
+    # block holding a file's line 0 holds its whole scan state, whatever
+    # the drop rules below remove from the file's head.
+    head_file, head_line = tbl["doc_id"][0].as_py().rsplit("/", 1)
     src = tbl["source"].combine_chunks()
     # --- drop rules that do not depend on scan state ---------------------
     keep = np.ones(len(tbl), dtype=bool)
@@ -226,56 +252,52 @@ def _parse_loglines(
         tbl = tbl.take(keep_idx)
         lines = lines.take(pa.array(keep_idx))
 
-    build, fname, line_no = _split_doc_id(tbl)
-    file_id = pc.binary_join_element_wise(build, fname, "/")
+    build, fname, line_no, fid, seg = _segments(tbl)
+    _check_layout(tbl, fid, seg, line_no)
+    # the head checks below concern the first kept file only when it is
+    # the file the block started in mid-file
+    mid_head = bool(len(tbl)) and int(head_line) > 0 and fid[0] == head_file
 
     if cfg.multiline_join and len(tbl):
-        tbl, lines = _join_multiline(tbl, lines, np.asarray(file_id))
-        build, fname, line_no = _split_doc_id(tbl)
-        file_id = pc.binary_join_element_wise(build, fname, "/")
+        tbl, lines = _join_multiline(tbl, lines, seg, mid_head)
+        build, fname, line_no, fid, seg = _segments(tbl)
 
     ts_ex = extract_timestamps(lines, cfg.today_year)
 
     banner = pc.starts_with(lines, _BANNER).to_numpy(zero_copy_only=False)
-    seg = _segment_ids(np.asarray(file_id))
     has_ts = pc.is_valid(ts_ex).to_numpy(zero_copy_only=False)
 
-    if fill:
-        # Ambiguity check: if this block starts MID-FILE (first row's
-        # line_no > 0), the scan state of the earlier rows lives in a
-        # different block.  That is only a problem when it would change
-        # the output: a leading unanchored (no prior-ts) run needing
-        # carry-forward, or a banner candidate at the block head.
-        if len(tbl) and line_no[0].as_py() > 0:
-            n0 = int((seg == seg[0]).sum())
-            lead_has = has_ts[:n0]
-            anchored = lead_has.cumsum() > 0
-            needs_fill = (~lead_has) & (~anchored)
-            if needs_fill.any() or banner[:n0][~anchored].any():
-                raise ValueError(
-                    "carry-forward ambiguity: block starts mid-file at "
-                    f"doc_id={tbl['doc_id'][0].as_py()!r} with unanchored "
-                    "leading rows; the input layout violates the "
-                    "one-log-file-per-block contract. Re-write the input "
-                    "with file-aligned row groups and one read task per "
-                    "parquet file, or use fill_mode='grouped'.")
-        ts_ser = pd.Series(ts_ex.to_pandas().values)
-        seg_ser = pd.Series(seg)
-        # banner dropped only while no earlier kept line in the file had a
-        # timestamp (logsender.py:399-400)
-        prior_has = (
-            pd.Series(has_ts).groupby(seg_ser).cummax().groupby(seg_ser)
-            .shift(1, fill_value=False).to_numpy()
-        )
-        drop_banner = banner & ~prior_has
-        # carry-forward (logsender.py:404-410)
-        filled = ts_ser.groupby(seg_ser).ffill()
-        filled = filled.fillna(pd.Timestamp(cfg.fallback_now))
-        ts = pa.Array.from_pandas(filled, type=pa.timestamp("us"))
-        sel = np.nonzero(~drop_banner)[0]
-    else:
-        ts = ts_ex  # grouped mode fills later; keep banner rows flagged
-        sel = np.arange(len(tbl))
+    # Ambiguity check: if this block starts MID-FILE, the scan state of
+    # the earlier rows lives in a different block.  That is only a
+    # problem when it would change the output: a leading unanchored (no
+    # prior-ts) run needing carry-forward, or a banner candidate at the
+    # block head.
+    if mid_head:
+        n0 = int((seg == seg[0]).sum())
+        lead_has = has_ts[:n0]
+        anchored = lead_has.cumsum() > 0
+        needs_fill = (~lead_has) & (~anchored)
+        if needs_fill.any() or banner[:n0][~anchored].any():
+            raise ValueError(
+                "carry-forward ambiguity: block starts mid-file at "
+                f"doc_id={tbl['doc_id'][0].as_py()!r} with unanchored "
+                "leading rows; the input layout violates the "
+                "one-log-file-per-block contract. Re-write the input "
+                "with file-aligned row groups and one read task per "
+                "parquet file, or use fill_mode='grouped'.")
+    ts_ser = pd.Series(ts_ex.to_pandas().values)
+    seg_ser = pd.Series(seg)
+    # banner dropped only while no earlier kept line in the file had a
+    # timestamp (logsender.py:399-400)
+    prior_has = (
+        pd.Series(has_ts).groupby(seg_ser).cummax().groupby(seg_ser)
+        .shift(1, fill_value=False).to_numpy()
+    )
+    drop_banner = banner & ~prior_has
+    # carry-forward (logsender.py:404-410)
+    filled = ts_ser.groupby(seg_ser).ffill()
+    filled = filled.fillna(pd.Timestamp(cfg.fallback_now))
+    ts = pa.Array.from_pandas(filled, type=pa.timestamp("us"))
 
     severity = extract_severity(lines)
     message = extract_messages(lines, keep_newlines=cfg.multiline_join)
@@ -288,20 +310,16 @@ def _parse_loglines(
         cols.update(_extract_grok_cols(
             lines, np.asarray(tbl["source"].combine_chunks())))
     out = _finalize(tbl, cols, received_at=cfg.received_at)
-    if fill:
-        # one fused selection pass: banner drop + empty-message drop
-        # (logsender.py:421-424) + optional DEBUG-severity drop
-        # (openstack-filters.conf:81-83)
-        keep_mask = np.zeros(len(out), dtype=bool)
-        keep_mask[sel] = True
-        keep_mask &= pc.not_equal(message, "").to_numpy(zero_copy_only=False)
-        if cfg.drop_debug_severity:
-            keep_mask &= pc.not_equal(severity, "DEBUG").to_numpy(
-                zero_copy_only=False)
-        if not keep_mask.all():
-            out = out.filter(pa.array(keep_mask))
-    else:
-        out = out.append_column("_banner", pa.array(banner))
+    # one fused selection pass: banner drop + empty-message drop
+    # (logsender.py:421-424) + optional DEBUG-severity drop
+    # (openstack-filters.conf:81-83)
+    keep_mask = ~drop_banner
+    keep_mask &= pc.not_equal(message, "").to_numpy(zero_copy_only=False)
+    if cfg.drop_debug_severity:
+        keep_mask &= pc.not_equal(severity, "DEBUG").to_numpy(
+            zero_copy_only=False)
+    if not keep_mask.all():
+        out = out.filter(pa.array(keep_mask))
     return out
 
 
@@ -328,59 +346,66 @@ def _flatten_perf(content: str) -> dict:
     return fields
 
 
+def _map_payloads(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig,
+                  fn) -> tuple[pa.Table, pa.Array, list]:
+    """``fn`` over each payload line of a row-at-a-time JSON branch.
+
+    A line whose ``fn`` raises is a poison row (e.g. a corrupt JSON
+    payload): it is dead-lettered when ``cfg.quarantine_dir`` is set,
+    else the error fails the task.  The JSON branches are the realistic
+    poison vector, so quarantine lives HERE rather than bisecting the
+    whole parse UDF (whose logline branch is not row-independent: the
+    layout contract would misfire on bisected sub-batches).  Returns the
+    good rows' table, lines and ``fn`` results.
+    """
+    results, bad_idx, bad_err = [], [], []
+    for i, line in enumerate(lines.to_pylist()):
+        try:
+            results.append(fn(line))
+        except Exception as e:
+            if cfg.quarantine_dir is None:
+                raise
+            bad_idx.append(i)
+            bad_err.append(repr(e))
+    if bad_idx:
+        from .quarantine import quarantine_rows
+
+        bad = pa.array(bad_idx)
+        quarantine_rows(
+            pa.table({"doc_id": tbl["doc_id"].combine_chunks().take(bad),
+                      "source": tbl["source"].combine_chunks().take(bad),
+                      "payload": lines.take(bad)}),
+            bad_err, cfg.quarantine_dir)
+        good = pa.array(np.setdiff1d(np.arange(len(tbl)), bad_idx))
+        tbl, lines = tbl.take(good), lines.take(good)
+    return tbl, lines, results
+
+
 def _parse_performance(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Table:
     """json_iter + makeJsonFields branch (one row per performance.json).
 
     Row-at-a-time Python is fine here: performance rows are O(#builds),
     a vanishing fraction of the corpus.
     """
-    ts_list, perf_json = [], []
-    bad_idx, bad_err = [], []
-    for i, line in enumerate(lines.to_pylist()):
-        try:
-            data = json.loads(line)
-            flat = json.dumps(_flatten_perf(line), sort_keys=True)
-        except Exception as e:
-            # poison row (corrupt performance.json payload): dead-letter
-            # it when a quarantine dir is configured, else fail fast --
-            # the row-at-a-time JSON branches are the realistic poison
-            # vector, so quarantine lives HERE rather than bisecting the
-            # whole parse UDF (whose logline branch is not
-            # row-independent: the carry-forward layout contract would
-            # misfire on bisected sub-batches)
-            if cfg.quarantine_dir is None:
-                raise
-            bad_idx.append(i)
-            bad_err.append(repr(e))
-            continue
+
+    def one(line: str) -> tuple:
+        data = json.loads(line)
+        flat = json.dumps(_flatten_perf(line), sort_keys=True)
         ts = None
         if "report" in data and "timestamp" in data["report"]:
-            ts_arr = extract_timestamps(
-                pa.array([data["report"]["timestamp"]]), cfg.today_year)
-            ts = ts_arr[0].as_py()
-        ts_list.append(ts if ts is not None else cfg.fallback_now)
-        perf_json.append(flat)
-    if bad_idx:
-        from .quarantine import quarantine_rows
+            ts = extract_timestamps(pa.array([data["report"]["timestamp"]]),
+                                    cfg.today_year)[0].as_py()
+        return ts if ts is not None else cfg.fallback_now, flat
 
-        quarantine_rows(
-            pa.table({"doc_id": tbl["doc_id"].combine_chunks().take(
-                          pa.array(bad_idx)),
-                      "source": tbl["source"].combine_chunks().take(
-                          pa.array(bad_idx)),
-                      "payload": lines.take(pa.array(bad_idx))}),
-            bad_err, cfg.quarantine_dir)
-        good = np.setdiff1d(np.arange(len(tbl)), np.array(bad_idx))
-        tbl = tbl.take(pa.array(good))
-        lines = lines.take(pa.array(good))
+    tbl, lines, rows = _map_payloads(tbl, lines, cfg, one)
     build, fname, line_no = _split_doc_id(tbl)
     message = extract_messages(lines)  # doc_iter also runs for perf docs
     out = _finalize(tbl, {
         "build_uuid": build, "filename": fname, "line_no": line_no,
-        "ts": pa.array(ts_list, type=pa.timestamp("us")),
+        "ts": pa.array([r[0] for r in rows], type=pa.timestamp("us")),
         "severity": pa.array([SEVERITY_NONE] * len(tbl)),
         "message": message,
-        "perf_fields": pa.array(perf_json, type=pa.string()),
+        "perf_fields": pa.array([r[1] for r in rows], type=pa.string()),
     }, received_at=cfg.received_at)
     return out.filter(pc.not_equal(out["message"].combine_chunks(), ""))
 
@@ -394,46 +419,23 @@ def _parse_subunit(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Ta
     ``float(f"{seconds}.{microseconds}")`` and the second-precision
     @timestamp are preserved exactly.
     """
-    names, statuses, durations, ts_list = [], [], [], []
-    bad_idx, bad_err = [], []
-    for i, line in enumerate(lines.to_pylist()):
-        try:
-            rec = json.loads(line)
-            name, status = rec["test_name"], rec["status"]
-        except Exception as e:
-            # corrupt subunit row: dead-letter when configured (same
-            # contract as the performance branch), else fail fast
-            if cfg.quarantine_dir is None:
-                raise
-            bad_idx.append(i)
-            bad_err.append(repr(e))
-            continue
+
+    def one(line: str) -> tuple:
+        rec = json.loads(line)
+        name, status = rec["test_name"], rec["status"]
         if rec.get("start") is None or rec.get("end") is None:
             # FLAG_TIMESTAMP is optional on the wire: no timestamps ->
             # no duration, null @timestamp (the row still routes)
-            durations.append(None)
-            ts_list.append(None)
-        else:
-            start = pd.Timestamp(rec["start"]).to_pydatetime()
-            end = pd.Timestamp(rec["end"]).to_pydatetime()
-            delta = end - start
-            durations.append(
-                float("%d.%d" % (delta.seconds, delta.microseconds)))
-            ts_list.append(start.replace(microsecond=0))  # %S precision
-        names.append(name)
-        statuses.append(status)
-    if bad_idx:
-        from .quarantine import quarantine_rows
+            return name, status, None, None
+        start = pd.Timestamp(rec["start"]).to_pydatetime()
+        delta = pd.Timestamp(rec["end"]).to_pydatetime() - start
+        return (name, status,
+                float("%d.%d" % (delta.seconds, delta.microseconds)),
+                start.replace(microsecond=0))  # %S precision
 
-        quarantine_rows(
-            pa.table({"doc_id": tbl["doc_id"].combine_chunks().take(
-                          pa.array(bad_idx)),
-                      "source": tbl["source"].combine_chunks().take(
-                          pa.array(bad_idx)),
-                      "payload": lines.take(pa.array(bad_idx))}),
-            bad_err, cfg.quarantine_dir)
-        good = np.setdiff1d(np.arange(len(tbl)), np.array(bad_idx))
-        tbl = tbl.take(pa.array(good))
+    tbl, _, rows = _map_payloads(tbl, lines, cfg, one)
+    names, statuses, durations, ts_list = (
+        [r[k] for r in rows] for k in range(4))
     build, fname, line_no = _split_doc_id(tbl)
     return _finalize(tbl, {
         "build_uuid": build, "filename": fname, "line_no": line_no,
@@ -445,10 +447,9 @@ def _parse_subunit(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Ta
     }, received_at=cfg.received_at)
 
 
-def make_parse_fn(cfg: PipelineConfig, fill: bool | None = None):
+def make_parse_fn(cfg: PipelineConfig):
     """Build the parse map_batches callable (stateless task; the compiled
     regex tables are module-level constants, mirroring ST4)."""
-    do_fill = cfg.fill_mode == "batch" if fill is None else fill
 
     def parse(batch: pa.Table) -> pa.Table:
         from ..runtime import tune_worker_threads
@@ -464,274 +465,58 @@ def make_parse_fn(cfg: PipelineConfig, fill: bool | None = None):
         log_mask = pc.is_in(src, value_set=pa.array(LOGLINE_SOURCES))
         perf_mask = pc.equal(src, "performance")
         sub_mask = pc.equal(src, "subunit")
-        for mask, fn, extra in (
-            (log_mask, _parse_loglines, (cfg, do_fill)),
-            (perf_mask, _parse_performance, (cfg,)),
-            (sub_mask, _parse_subunit, (cfg,)),
-        ):
+        for mask, fn in ((log_mask, _parse_loglines),
+                         (perf_mask, _parse_performance),
+                         (sub_mask, _parse_subunit)):
             idx = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
             if len(idx) == len(batch):
-                pieces.append(fn(batch, lines, *extra))
+                pieces.append(fn(batch, lines, cfg))
             elif len(idx):
-                piece = fn(batch.take(idx), lines.take(pa.array(idx)), *extra)
-                pieces.append(piece)
+                pieces.append(fn(batch.take(idx), lines.take(pa.array(idx)),
+                                 cfg))
         if not pieces:
             schema = PARSED_SCHEMA
             for name in batch.column_names:
                 if name.startswith("_"):
                     schema = schema.append(
                         pa.field(name, batch.schema.field(name).type))
-            if not do_fill:
-                schema = schema.append(pa.field("_banner", pa.bool_()))
             return schema.empty_table()
-        if not do_fill:
-            # unify: non-logline pieces get _banner=False
-            pieces = [
-                p if "_banner" in p.column_names
-                else p.append_column("_banner", pa.array([False] * len(p)))
-                for p in pieces
-            ]
         return pa.concat_tables(pieces)
 
     return parse
 
 
-_FILL_BUCKETS = 64
-_HELPER_COLS = ("_banner", "_kind", "_fid", "_fill_bucket")
-
-
-def _sparse_split_fn(cfg: PipelineConfig):
-    """Stage A of the exact any-layout fill (fill_mode="grouped").
-
-    The block is sorted by (file, line_no) and divided into RUNS of
-    line-CONSECUTIVE rows per file.  Within a run the reference scan
-    state is fully determined, so:
-
-      * rows with their own timestamp are always resolved;
-      * timestamp-less rows (and banners) with an earlier timestamp in
-        the SAME run are resolved in place;
-      * everything else (kind=1) plus ONE summary row per run --
-        (file, first_line, last_known_ts) -- (kind=2) goes to the
-        sparse shuffle.
-
-    Any line-number gap is treated conservatively as "state unknown"
-    (the missing lines may live in another block and carry timestamps);
-    gaps caused by skip_debug-dropped lines therefore ship a few extra
-    pending rows but never a wrong timestamp.  Banner lines can never
-    carry their own timestamp (every pattern is ^-anchored and
-    "-- Logs begin at " matches none), so a resolved banner always has
-    a prior in-run timestamp and is always kept -- exactly the
-    reference scan.
-    """
-
-    def split(t: pa.Table) -> pa.Table:
-        n = len(t)
-        base_cols = list(t.column_names)
-        if n == 0:
-            sch = pa.schema(
-                [(c, t.schema.field(c).type) for c in base_cols]
-                + [("_kind", pa.int8()), ("_fid", pa.string()),
-                   ("_fill_bucket", pa.int32())])
-            return sch.empty_table()
-        build = t["build_uuid"].combine_chunks()
-        fname = t["filename"].combine_chunks()
-        fid_col = pc.binary_join_element_wise(build, fname, "/")
-        t = t.append_column("_fid", fid_col)
-        order = pc.sort_indices(
-            t, sort_keys=[("_fid", "ascending"), ("line_no", "ascending")])
-        t = t.take(order)
-
-        fid_np = np.asarray(t["_fid"].combine_chunks())
-        line_no = t["line_no"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        seg = _segment_ids(fid_np)
-        consec = np.empty(n, dtype=bool)
-        consec[0] = True
-        consec[1:] = (seg[1:] == seg[:-1]) & (np.diff(line_no) == 1)
-        run = np.cumsum(~consec) - 0  # new run wherever not consecutive
-        run_ser = pd.Series(run)
-
-        src_np = np.asarray(t["source"].combine_chunks())
-        is_log = np.isin(src_np, np.asarray(LOGLINE_SOURCES, dtype=object))
-        ts_arr = t["ts"].combine_chunks()
-        has = pc.is_valid(ts_arr).to_numpy(zero_copy_only=False) & is_log
-        banner = t["_banner"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-
-        has_ser = pd.Series(has)
-        prior_or_self = has_ser.groupby(run_ser).cummax().to_numpy()
-        ts_ser = pd.Series(ts_arr.to_pandas().values).where(has_ser)
-        filled = ts_ser.groupby(run_ser).ffill()
-
-        # no-ts rows (banners included) resolve iff an earlier in-run
-        # row had a timestamp; has-rows always resolve with their own
-        resolved_log = is_log & prior_or_self
-        pending = is_log & ~prior_or_self
-
-        ts_final = pd.Series(ts_arr.to_pandas().values)
-        ts_final[resolved_log] = filled[resolved_log]
-
-        msg = t["message"].combine_chunks()
-        empty_msg = pc.fill_null(pc.equal(msg, ""), False).to_numpy(
-            zero_copy_only=False)
-        keep_resolved = ~pending & ~(is_log & empty_msg)
-        if cfg.drop_debug_severity:
-            dbg = pc.fill_null(
-                pc.equal(t["severity"].combine_chunks(), "DEBUG"),
-                False).to_numpy(zero_copy_only=False)
-            keep_resolved &= ~(is_log & dbg)
-
-        t = t.set_column(t.schema.get_field_index("ts"), "ts",
-                         pa.Array.from_pandas(ts_final,
-                                              type=pa.timestamp("us")))
-
-        def bucket_of(fids: np.ndarray) -> np.ndarray:
-            return (pd.util.hash_array(fids.astype(object))
-                    % _FILL_BUCKETS).astype(np.int32)
-
-        pieces = []
-        res_idx = np.nonzero(keep_resolved)[0]
-        if len(res_idx):
-            rt = t.take(pa.array(res_idx))
-            rt = rt.append_column("_kind", pa.array(
-                np.zeros(len(res_idx), np.int8)))
-            rt = rt.append_column("_fill_bucket", pa.array(
-                np.zeros(len(res_idx), np.int32)))
-            pieces.append(rt)
-        pend_idx = np.nonzero(pending)[0]
-        if len(pend_idx):
-            pt = t.take(pa.array(pend_idx))
-            pt = pt.append_column("_kind", pa.array(
-                np.ones(len(pend_idx), np.int8)))
-            pt = pt.append_column("_fill_bucket", pa.array(
-                bucket_of(fid_np[pend_idx])))
-            pieces.append(pt)
-        # one summary per LOG run: (fid, first line, last known ts)
-        run_starts = np.nonzero(np.concatenate(
-            ([True], run[1:] != run[:-1])))[0]
-        run_ends = np.concatenate((run_starts[1:] - 1, [n - 1]))
-        log_runs = is_log[run_starts]
-        if log_runs.any():
-            starts = run_starts[log_runs]
-            ends = run_ends[log_runs]
-            sum_fid = fid_np[starts]
-            last_ts = filled.to_numpy()[ends]  # NaT if run had no ts
-            m = len(starts)
-            cols = {}
-            for name in t.column_names:
-                if name == "line_no":
-                    cols[name] = pa.array(
-                        line_no[starts].astype(np.int32), pa.int32())
-                elif name == "ts":
-                    cols[name] = pa.Array.from_pandas(
-                        pd.Series(last_ts), type=pa.timestamp("us"))
-                elif name == "_fid":
-                    cols[name] = pa.array(sum_fid, type=pa.string())
-                else:
-                    cols[name] = pa.nulls(m, t.schema.field(name).type)
-            st = pa.table(cols, schema=t.schema)
-            st = st.append_column("_kind", pa.array(np.full(m, 2, np.int8)))
-            st = st.append_column("_fill_bucket", pa.array(bucket_of(sum_fid)))
-            pieces.append(st)
-        return pa.concat_tables(pieces)
-
-    return split
-
-
-def _sparse_reduce_fn(cfg: PipelineConfig, out_schema: pa.Schema):
-    """Stage B: per-bucket reconstruction of the cross-block scan state.
-
-    For each pending row, the anchor timestamp is the last known ts of
-    any EARLIER segment of its file (summaries sorted by first line),
-    prior-has likewise -- exactly the reference scan's
-    last_known_timestamp at the row's position.  Output is built with
-    the explicit Arrow schema so it unions bit-exactly with the
-    in-block-resolved stream (tokens survive as list<int32>).
-    """
-    fallback = np.datetime64(pd.Timestamp(cfg.fallback_now))
-
-    def reduce(df: pd.DataFrame) -> pa.Table:
-        pend = df[df["_kind"] == 1]
-        summ = df[df["_kind"] == 2]
-        if len(pend) == 0:
-            return out_schema.empty_table()
-        sgroups = {k: g for k, g in summ.groupby("_fid", sort=False)}
-        kept = []
-        for fid, p in pend.groupby("_fid", sort=False):
-            s = sgroups.get(fid)
-            s = s.sort_values("line_no", kind="mergesort")
-            firsts = s["line_no"].to_numpy()
-            last_ts = s["ts"]
-            has = last_ts.notna().to_numpy()
-            carry = last_ts.ffill().shift(1).to_numpy()
-            prior_has = np.concatenate(([False], np.cumsum(has)[:-1] > 0))
-            idx = np.searchsorted(firsts, p["line_no"].to_numpy(),
-                                  side="right") - 1
-            anchor = carry[idx]
-            ph = prior_has[idx]
-            banner = p["_banner"].to_numpy(dtype=bool)
-            keep = ~(banner & ~ph)
-            ts_new = np.where(pd.isna(anchor), fallback,
-                              anchor.astype("datetime64[us]"))
-            p = p[keep].assign(ts=ts_new[keep])
-            p = p[p["message"].fillna("") != ""]
-            if cfg.drop_debug_severity:
-                p = p[p["severity"].fillna("") != "DEBUG"]
-            if len(p):
-                kept.append(p)
-        if not kept:
-            return out_schema.empty_table()
-        allp = pd.concat(kept)
-        cols = {}
-        for field in out_schema:
-            ser = allp[field.name]
-            if pa.types.is_list(field.type):
-                cols[field.name] = pa.array(list(ser), type=field.type)
-            else:
-                cols[field.name] = pa.Array.from_pandas(ser, type=field.type)
-        return pa.table(cols, schema=out_schema)
-
-    return reduce
-
-
 def apply_parse(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
-    """Attach the parse stage to a token-sequence Dataset."""
+    """Attach the parse stage to a token-sequence Dataset.
+
+    Both fill modes run the same ``make_parse_fn(cfg)`` over blocks that
+    meet the layout contract (module docstring).  "batch" parses whole
+    blocks (``batch_size=None``) where they lie: zero shuffle.
+    "grouped" first restores the contract for any layout: it routes
+    every row through one bucketed exchange on its (build/filename)
+    file key, so each file lands whole in one bucket, and sorts each
+    bucket by (file, line_no) before parsing it.
+    """
+    parse = make_parse_fn(cfg)
     if cfg.fill_mode == "batch":
-        # batch_size=None => whole blocks; required by the contiguity
-        # assumption of the in-batch carry-forward.
-        return ds.map_batches(
-            make_parse_fn(cfg), batch_format="pyarrow", batch_size=None,
-            zero_copy_batch=True)
+        return ds.map_batches(parse, batch_format="pyarrow", batch_size=None,
+                              zero_copy_batch=True)
     if cfg.fill_mode != "grouped":
         raise ValueError(cfg.fill_mode)
-    # exact any-layout fill with a SPARSE shuffle: resolve in-block,
-    # exchange only unresolved leading runs + one summary row per
-    # (block x file) segment.  The materialize() is the branch point --
-    # the parsed data is produced once and read by both streams.
-    parsed = ds.map_batches(
-        make_parse_fn(cfg, fill=False), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True)
-    splitd = parsed.map_batches(
-        _sparse_split_fn(cfg), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True).materialize()
-    out_schema = splitd.schema().base_schema
-    keep_names = [n for n in out_schema.names if n not in _HELPER_COLS]
-    out_schema = pa.schema([(n, out_schema.field(n).type)
-                            for n in keep_names])
+    from ..ops.window import bucketed_groups
 
-    def take_resolved(t: pa.Table) -> pa.Table:
-        mask = pc.equal(t["_kind"].combine_chunks(), pa.scalar(0, pa.int8()))
-        return t.filter(mask).select(keep_names)
+    def add_file_key(t: pa.Table) -> pa.Table:
+        build, fname, line_no = _split_doc_id(t)
+        return t.append_column(
+            "_file", pc.binary_join_element_wise(build, fname, "/")
+        ).append_column("_line", line_no)
 
-    def take_pending(t: pa.Table) -> pa.Table:
-        mask = pc.not_equal(t["_kind"].combine_chunks(),
-                            pa.scalar(0, pa.int8()))
-        return t.filter(mask)
+    def parse_bucket(t: pa.Table) -> pa.Table:
+        order = pc.sort_indices(t, sort_keys=[("_file", "ascending"),
+                                              ("_line", "ascending")])
+        return parse(t.take(order).drop_columns(["_file", "_line"]))
 
-    resolved = splitd.map_batches(take_resolved, batch_format="pyarrow",
-                                  batch_size=None)
-    filled = splitd.map_batches(
-        take_pending, batch_format="pyarrow", batch_size=None,
-    ).groupby("_fill_bucket").map_groups(
-        _sparse_reduce_fn(cfg, out_schema), batch_format="pandas")
-    return resolved.union(filled)
+    keyed = ds.map_batches(add_file_key, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return bucketed_groups(keyed, "_file", parse_bucket,
+                           kernel_format="pyarrow")

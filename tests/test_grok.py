@@ -267,6 +267,49 @@ def test_parse_stage_grok_fields_end_to_end():
     assert con["module"] is None and con["pid"] is None
 
 
+def test_dropped_line0_is_not_mid_file_carry_forward():
+    """A block holding a file's line 0 starts at the file's head even
+    when skip_debug drops that line: the leading timestamp-less line
+    takes fallback_now, as in the reference, instead of raising a
+    carry-forward ambiguity."""
+    cfg = PipelineConfig(skip_debug=True)
+    lines = ["2022-03-25 17:40:37.123456 | DEBUG starting",
+             "no timestamp here",
+             "2022-03-25 17:40:38.000000 | ok"]
+    tbl = _token_table({"job-output.txt": ("console", lines)})
+    out = make_parse_fn(cfg)(tbl)
+    want = list(ref.process_logfile(
+        lines, "console", skip_debug=True, drop_debug_severity=False,
+        fallback_now=cfg.fallback_now, today_year=cfg.today_year))
+    assert [i for i, *_ in want] == [1, 2]
+    assert want[0][1] == cfg.fallback_now
+    got = [(r["line_no"], r["ts"], r["severity"], r["message"])
+           for r in out.to_pylist()]
+    assert got == want
+    # a block that really starts mid-file still raises
+    with pytest.raises(ValueError, match="carry-forward ambiguity"):
+        make_parse_fn(cfg)(tbl.slice(1))
+
+
+def test_dropped_line0_is_not_mid_file_multiline():
+    """Same for the multiline join: a console file whose line 0 is a
+    dropped <pre> marker and whose line 1 is a continuation line starts
+    with its own leading event (logstash's first flush), not an
+    ambiguity error."""
+    cfg = PipelineConfig(multiline_join=True)
+    lines = ["<pre>", "TASK [setup]", "continued",
+             "2022-03-25 17:40:38.000000 | ok"]
+    tbl = _token_table({"job-output.txt": ("console", lines)})
+    rows = make_parse_fn(cfg)(tbl).to_pylist()
+    events = ref.multiline_events(lines[1:], "console")
+    assert [start + 1 for start, _ in events] == [1, 3]
+    assert [r["line_no"] for r in rows] == [1, 3]
+    assert rows[0]["message"] == "TASK [setup]\ncontinued"
+    assert rows[0]["ts"] == cfg.fallback_now
+    with pytest.raises(ValueError, match="multiline-join ambiguity"):
+        make_parse_fn(cfg)(tbl.slice(2))
+
+
 def test_distributed_multiline_join_matches_local(ray_session):
     import ray
 
