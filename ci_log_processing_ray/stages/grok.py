@@ -17,11 +17,14 @@ here as vectorized Arrow kernels:
     equivalent is "starts with a timestamp AND is not a
     ``TS  PID (TRACE|ERROR)`` continuation" (the NUMBER requirement is
     what keeps plain ERROR messages from folding -- conf:35-39).
-* ``join_runs`` -- segment-local vectorized join over rows in (file,
-  line) order; ``multiline_join`` runs it per bucket behind one
-  bucketed exchange for arbitrary layouts.  The parse stage's join
-  (``stages/parse.py:_join_multiline``) follows the same layout
-  contract as its timestamp carry-forward.
+* ``join_events`` -- the one join kernel: lines and event start rows
+  -> newline-joined messages, a single ``pc.binary_join`` over a list
+  view of the lines.
+* ``join_runs`` -- segment-local join over rows in (file, line) order;
+  ``multiline_join`` runs it per bucket behind one bucketed exchange
+  for arbitrary layouts.  The parse stage's join
+  (``stages/parse.py:_join_multiline``) calls ``join_events`` too and
+  follows the same layout contract as its timestamp carry-forward.
 * ``extract_grok_fields`` -- per-family RE2 re-expressions of the grok
   patterns (the regexes are the parse SPEC restated, not copied code;
   grok's Oniguruma ``(?m)`` means dot-matches-newline, hence ``(?s)``
@@ -122,31 +125,32 @@ def anchor_mask(lines: pa.Array | pa.ChunkedArray, family: str) -> np.ndarray:
     return np.ones(len(lines), dtype=bool)
 
 
+def join_events(lines: pa.Array, starts: np.ndarray) -> pa.Array:
+    """Newline-join each event's lines in one Arrow kernel call.  Event
+    ``k`` is ``lines[starts[k]:starts[k + 1]]``; ``starts`` is sorted
+    and begins at 0 (when ``lines`` is non-empty)."""
+    offsets = np.append(starts, len(lines)).astype(np.int32)
+    return pc.binary_join(
+        pa.ListArray.from_arrays(pa.array(offsets), lines), "\n")
+
+
 def join_runs(file_ids: np.ndarray, anchors: np.ndarray,
-              lines: list[str]) -> pd.DataFrame:
+              lines: pa.Array | list[str]) -> pd.DataFrame:
     """Segment-local multiline join over rows already in (file, line)
     order with files contiguous.  Event starts at an anchor OR at the
     first row of its file (logstash's what=previous: a leading
     continuation run becomes its own event)."""
-    n = len(lines)
-    if n == 0:
-        return pd.DataFrame({"file_id": pd.Series([], dtype=object),
-                             "line_idx": pd.Series([], dtype=np.int64),
-                             "n_lines": pd.Series([], dtype=np.int64),
-                             "message": pd.Series([], dtype=object)})
-    new_file = np.empty(n, dtype=bool)
-    new_file[0] = True
+    if not isinstance(lines, pa.Array):
+        lines = pa.array(lines, type=pa.string())
+    new_file = np.empty(len(lines), dtype=bool)
+    new_file[:1] = True
     new_file[1:] = file_ids[1:] != file_ids[:-1]
-    start = anchors | new_file
-    event = np.cumsum(start) - 1
-    df = pd.DataFrame({"e": event, "file_id": file_ids, "line": lines})
-    g = df.groupby("e", sort=True)
-    starts = np.nonzero(start)[0]
+    starts = np.flatnonzero(anchors | new_file)
     return pd.DataFrame({
         "file_id": file_ids[starts],
         "line_idx": starts.astype(np.int64),
-        "n_lines": g["line"].size().to_numpy(dtype=np.int64),
-        "message": g["line"].agg("\n".join).to_numpy(),
+        "n_lines": np.diff(starts, append=len(lines)).astype(np.int64),
+        "message": join_events(lines, starts).to_numpy(zero_copy_only=False),
     })
 
 
@@ -167,10 +171,9 @@ def multiline_join(
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([file_col, order_col], kind="mergesort")
-        lines = g[line_col].tolist()
+        lines = pa.array(g[line_col], type=pa.string())
         fids = g[file_col].to_numpy()
-        anchors = anchor_mask(pa.array(lines, type=pa.string()), family)
-        out = join_runs(fids, anchors, lines)
+        out = join_runs(fids, anchor_mask(lines, family), lines)
         ords = g[order_col].to_numpy()
         return pd.DataFrame({
             "file_id": out["file_id"],

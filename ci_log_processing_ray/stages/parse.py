@@ -7,8 +7,12 @@ logsender.py:394-428), the grok drop rules (openstack-filters.conf:5-11,
 logsender.py:288-329, 384-391) and the subunit branch (subunit_iter,
 logsender.py:447-464), dispatched on the ``source`` column.
 
-Timestamp carry-forward (the stateful per-file scan of logsender.py:394-413)
-runs vectorized inside the batch via segment-aware forward fill.
+The logline branch runs no Python per row.  Timestamp carry-forward (the
+stateful per-file scan of logsender.py:394-413) is a segment-aware numpy
+forward fill; the logstash multiline join is one Arrow ``binary_join`` per
+block (``grok.join_events``, shared with ``grok.join_runs``).  The JSON
+branches decode payloads row by row, but parse the performance report
+timestamps in one ``extract_timestamps`` call per block.
 
 LAYOUT CONTRACT: within a block, each log file's rows form one contiguous
 run in strictly increasing line order, and a block that starts mid-file
@@ -25,9 +29,9 @@ sort per bucket, then the same parse.
 from __future__ import annotations
 
 import json
+from datetime import datetime
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -142,7 +146,9 @@ def _check_layout(tbl: pa.Table, fid: np.ndarray, seg: np.ndarray,
     ln = line_no.to_numpy(zero_copy_only=False)
     bad = np.flatnonzero((seg[1:] == seg[:-1]) & (ln[1:] <= ln[:-1])) + 1
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
-    split = starts[pd.Series(fid[starts]).duplicated().to_numpy()]
+    repeat = np.ones(len(starts), dtype=bool)
+    repeat[np.unique(fid[starts], return_index=True)[1]] = False
+    split = starts[repeat]
     if len(bad) or len(split):
         at = min(bad[:1].tolist() + split[:1].tolist())
         raise ValueError(
@@ -161,7 +167,7 @@ def _join_multiline(
     run, message lines joined with newlines, n_tok summed over the
     event, all other columns taken from the anchor row.  Same
     block-contiguity contract as the timestamp carry-forward."""
-    from .grok import anchor_mask
+    from .grok import anchor_mask, join_events
 
     n = len(tbl)
     src_np = np.asarray(tbl["source"].combine_chunks())
@@ -180,9 +186,6 @@ def _join_multiline(
     starts = np.nonzero(start)[0]
     if len(starts) == n:
         return tbl, lines
-    event = np.cumsum(start) - 1
-    joined = pd.Series(np.asarray(lines, dtype=object)).groupby(
-        event, sort=True).agg("\n".join)
     out = tbl.take(pa.array(starts))
     if "n_tok" in tbl.column_names:
         ntok = tbl["n_tok"].combine_chunks().to_numpy(
@@ -190,7 +193,7 @@ def _join_multiline(
         sums = np.add.reduceat(ntok, starts).astype(np.int32)
         out = out.set_column(out.schema.get_field_index("n_tok"),
                              "n_tok", pa.array(sums, type=pa.int32()))
-    return out, pa.array(joined.to_numpy(), type=pa.string())
+    return out, join_events(lines, starts)
 
 
 _GROK_COL_NAMES = ("module", "pid", "syslog_program", "syslog_pid",
@@ -285,19 +288,19 @@ def _parse_loglines(
                 "one-log-file-per-block contract. Re-write the input "
                 "with file-aligned row groups and one read task per "
                 "parquet file, or use fill_mode='grouped'.")
-    ts_ser = pd.Series(ts_ex.to_pandas().values)
-    seg_ser = pd.Series(seg)
+    # last row at or before each row that has a timestamp, and the first
+    # row of each row's segment: a timestamp only carries within its file
+    last_ts = np.maximum.accumulate(
+        np.where(has_ts, np.arange(len(has_ts)), -1))
+    seg_first = np.flatnonzero(np.diff(seg, prepend=-1))[seg]
     # banner dropped only while no earlier kept line in the file had a
     # timestamp (logsender.py:399-400)
-    prior_has = (
-        pd.Series(has_ts).groupby(seg_ser).cummax().groupby(seg_ser)
-        .shift(1, fill_value=False).to_numpy()
-    )
+    prior_has = np.zeros(len(has_ts), dtype=bool)
+    prior_has[1:] = last_ts[:-1] >= seg_first[1:]
     drop_banner = banner & ~prior_has
     # carry-forward (logsender.py:404-410)
-    filled = ts_ser.groupby(seg_ser).ffill()
-    filled = filled.fillna(pd.Timestamp(cfg.fallback_now))
-    ts = pa.Array.from_pandas(filled, type=pa.timestamp("us"))
+    ts = ts_ex.take(pa.array(last_ts, mask=last_ts < seg_first)).fill_null(
+        cfg.fallback_now)
 
     severity = extract_severity(lines)
     message = extract_messages(lines, keep_newlines=cfg.multiline_join)
@@ -323,9 +326,9 @@ def _parse_loglines(
     return out
 
 
-def _flatten_perf(content: str) -> dict:
-    """makeJsonFields (logsender.py:288-329), one JSON payload -> flat dict."""
-    data = json.loads(content)
+def _flatten_perf(data: dict) -> dict:
+    """makeJsonFields (logsender.py:288-329), one parsed payload -> flat
+    dict."""
     fields: dict = {"hostname": data["report"]["hostname"]}
     for service in data.get("services", []):
         mem = service.get("MemoryCurrent", 0)
@@ -384,25 +387,33 @@ def _map_payloads(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig,
 def _parse_performance(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Table:
     """json_iter + makeJsonFields branch (one row per performance.json).
 
-    Row-at-a-time Python is fine here: performance rows are O(#builds),
-    a vanishing fraction of the corpus.
+    Per row, only the JSON decode, the flattening and a type check run
+    in Python.  The report timestamps (logsender.py:384-391) are parsed
+    in ONE ``extract_timestamps`` call over the block: every call walks
+    the whole pattern table, so a call per row cost more than the whole
+    logline branch.  A missing or unparsable timestamp takes
+    ``fallback_now``; a present non-string one raises ``TypeError``
+    (dead-lettered with a quarantine dir), as in the reference.
     """
 
     def one(line: str) -> tuple:
         data = json.loads(line)
-        flat = json.dumps(_flatten_perf(line), sort_keys=True)
-        ts = None
-        if "report" in data and "timestamp" in data["report"]:
-            ts = extract_timestamps(pa.array([data["report"]["timestamp"]]),
-                                    cfg.today_year)[0].as_py()
-        return ts if ts is not None else cfg.fallback_now, flat
+        flat = json.dumps(_flatten_perf(data), sort_keys=True)
+        report = data["report"]
+        ts = report.get("timestamp")
+        if "timestamp" in report and not isinstance(ts, str):
+            raise TypeError(
+                f"report.timestamp is {type(ts).__name__}, not str")
+        return ts, flat
 
     tbl, lines, rows = _map_payloads(tbl, lines, cfg, one)
     build, fname, line_no = _split_doc_id(tbl)
     message = extract_messages(lines)  # doc_iter also runs for perf docs
+    ts = extract_timestamps(pa.array([r[0] for r in rows], type=pa.string()),
+                            cfg.today_year)
     out = _finalize(tbl, {
         "build_uuid": build, "filename": fname, "line_no": line_no,
-        "ts": pa.array([r[0] for r in rows], type=pa.timestamp("us")),
+        "ts": ts.fill_null(cfg.fallback_now),
         "severity": pa.array([SEVERITY_NONE] * len(tbl)),
         "message": message,
         "perf_fields": pa.array([r[1] for r in rows], type=pa.string()),
@@ -427,8 +438,8 @@ def _parse_subunit(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Ta
             # FLAG_TIMESTAMP is optional on the wire: no timestamps ->
             # no duration, null @timestamp (the row still routes)
             return name, status, None, None
-        start = pd.Timestamp(rec["start"]).to_pydatetime()
-        delta = pd.Timestamp(rec["end"]).to_pydatetime() - start
+        start = datetime.fromisoformat(rec["start"])
+        delta = datetime.fromisoformat(rec["end"]) - start
         return (name, status,
                 float("%d.%d" % (delta.seconds, delta.microseconds)),
                 start.replace(microsecond=0))  # %S precision

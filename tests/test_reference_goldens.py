@@ -9,6 +9,8 @@ test_logsender.py (cited per test).
 
 import json
 
+import pyarrow as pa
+
 from ci_log_processing_ray import reference_impl as ref
 from ci_log_processing_ray.config import PipelineConfig
 
@@ -190,7 +192,7 @@ def test_parse_stage_flatten_matches_reference_guards():
                  "log": "skipme", "GET": "notint"}],
         "report": {"timestamp": "2022-08-10T13:51:50", "hostname": "h"},
     })
-    got = _flatten_perf(payload)
+    got = _flatten_perf(json.loads(payload))
     assert got == ref.flatten_perf_json(payload)
     assert got["service_a.service_memorycurrent"] == 0
     assert got["service_b.service_memorycurrent"] == 0
@@ -198,6 +200,76 @@ def test_parse_stage_flatten_matches_reference_guards():
     assert got["db_nova_select"] == 7
     assert got["api_placement_largest"] == 3
     assert "api_placement_log" not in got
+
+
+def _perf_block(reports: list[dict]) -> tuple[pa.Table, list[str]]:
+    """A parse input block of performance.json rows, one per report,
+    and the rows' payloads."""
+    from ci_log_processing_ray.sources.synth import _encode_tokens
+
+    lines = [json.dumps({"report": r, "services": []}) for r in reports]
+    return pa.table({
+        "doc_id": [f"build-{i}/performance.json/000000"
+                   for i in range(len(lines))],
+        "tokens": _encode_tokens(lines),
+        "n_tok": pa.array([len(l.encode()) for l in lines], type=pa.int32()),
+        "source": ["performance"] * len(lines),
+    }), lines
+
+
+def test_parse_stage_perf_timestamps_match_reference(tmp_path):
+    """Each performance row's ts equals reference_impl.perf_timestamp
+    (logsender.py:384-391) on the paths synth never reaches: a yearless
+    stamp (year-1900 patch), an unparsable one and a missing one (both
+    fallback_now).  A non-string timestamp raises, as in the reference;
+    with a quarantine dir only that row is dead-lettered."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import pytest
+
+    from ci_log_processing_ray.stages.parse import make_parse_fn
+
+    good = [{"hostname": "h", "timestamp": "2022-08-10T13:51:50"},
+            {"hostname": "h", "timestamp": "Mar 25 10:00:00"},
+            {"hostname": "h", "timestamp": "not a time"},
+            {"hostname": "h"}]
+    tbl, lines = _perf_block(good + [{"hostname": "h", "timestamp": 12345}])
+    cfg = PipelineConfig(quarantine_dir=str(tmp_path))
+    out = make_parse_fn(cfg)(tbl)
+    want = [ref.perf_timestamp(l, cfg.today_year, cfg.fallback_now)
+            for l in lines[:4]]
+    assert out["ts"].to_pylist() == want
+    assert want[1].year == cfg.today_year
+    assert want[2] == want[3] == cfg.fallback_now
+    qt = pq.read_table(glob.glob(os.path.join(tmp_path, "poison-*"))[0])
+    assert qt["doc_id"].to_pylist() == [tbl["doc_id"][4].as_py()]
+    assert "TypeError" in qt["_error"][0].as_py()
+    with pytest.raises(TypeError):
+        ref.perf_timestamp(lines[4], cfg.today_year, cfg.fallback_now)
+    with pytest.raises(TypeError):
+        make_parse_fn(PipelineConfig())(tbl)
+
+
+def test_parse_stage_perf_timestamps_one_call_per_block(monkeypatch):
+    """The performance branch parses a block's report timestamps in one
+    extract_timestamps call, not one per row."""
+    from ci_log_processing_ray.stages import parse
+
+    calls = []
+    real = parse.extract_timestamps
+
+    def counting(lines, today_year):
+        calls.append(len(lines))
+        return real(lines, today_year)
+
+    monkeypatch.setattr(parse, "extract_timestamps", counting)
+    tbl, _ = _perf_block([{"hostname": "h", "timestamp": "Mar 25 10:00:%02d"
+                           % i} for i in range(20)])
+    out = parse.make_parse_fn(PipelineConfig())(tbl)
+    assert out.num_rows == 20
+    assert calls == [20]
 
 
 def test_subunit_duration_quirk():
