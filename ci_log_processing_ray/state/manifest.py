@@ -15,6 +15,26 @@ Mirrors the reference's BuildCache semantics (logscraper.py:227-292):
 A manifest is a small JSON file written atomically (tmp + rename) and
 doubles as the metrics record for its partition (row counts, per-sink
 counts, token checksum) -- ST5's metrics surface.
+
+Reading the store: the reference loads its cache once and then writes
+only the delta; here every idle tick reads the whole store.  ``all()``
+therefore keeps a process-wide memo, store dir -> file name -> (stat
+identity, Manifest), and parses only the files whose (inode, size,
+mtime_ns) changed since this process last read them.  The memo lives at
+module level because callers build a fresh ``ManifestStore`` per tick;
+it is keyed by absolute path and checked against ``stat`` on every
+read, so it never outlives what is on disk.  Racy-clean rule (git's,
+https://git-scm.com/docs/racy-git): a file whose mtime is within
+``_RACY_NS`` of the scan's start is returned but not memoized, because
+a rewrite within one timestamp tick can keep its stat identity.  An
+idle tick stays O(history) in ``scandir`` entries and ``stat`` calls;
+the memo removes only the JSON parses.
+
+Why not one segment file per batch: a lost commit would then lose a
+whole batch instead of one partition, and it would need a compaction
+scheme and a migration for existing per-file manifests.  The memo gets
+the idle-tick gain with the commit point, the on-disk layout and the
+exactly-once argument unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -34,7 +55,7 @@ def partition_id(input_path: str) -> str:
     return f"{os.path.basename(input_path)}-{digest}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Manifest:
     partition_id: str
     input_path: str
@@ -42,6 +63,12 @@ class Manifest:
     per_sink_counts: dict[str, int] = field(default_factory=dict)
     token_checksum: Optional[str] = None
     committed_at: Optional[float] = None  # injected clock, not wall time
+
+
+# A file younger than this at scan time is re-read on every scan.
+_RACY_NS = 2_000_000_000
+# absolute store dir -> {file name -> ((st_ino, st_size, st_mtime_ns), Manifest)}
+_MEMO: dict[str, dict[str, tuple[tuple[int, int, int], Manifest]]] = {}
 
 
 class ManifestStore:
@@ -66,8 +93,9 @@ class ManifestStore:
 
     def load(self, pid: str) -> Optional[Manifest]:
         try:
-            with open(self._path(pid)) as f:
-                return Manifest(**json.load(f))
+            # bytes + json.loads: ~4 us a file less than a text-mode read
+            with open(self._path(pid), "rb") as f:
+                return Manifest(**json.loads(f.read()))
         except FileNotFoundError:
             return None
 
@@ -79,8 +107,36 @@ class ManifestStore:
         }
 
     def all(self) -> list[Manifest]:
-        return [m for pid in sorted(self.committed_ids())
-                if (m := self.load(pid)) is not None]
+        """Every committed manifest in partition-id order; parses only the
+        files new or changed since this process last read the store."""
+        key = os.path.abspath(self.dir)
+        settled_before = time.time_ns() - _RACY_NS
+        old = _MEMO.get(key, {})
+        memo: dict[str, tuple[tuple[int, int, int], Manifest]] = {}
+        with os.scandir(self.dir) as it:
+            entries = [e for e in it if e.name.endswith(".json")]
+        out = []
+        for e in sorted(entries, key=lambda e: e.name[: -len(".json")]):
+            try:
+                st = e.stat()
+            except FileNotFoundError:
+                continue
+            ident = (st.st_ino, st.st_size, st.st_mtime_ns)
+            hit = old.get(e.name)
+            if hit is not None and hit[0] == ident:
+                m = hit[1]
+            else:
+                m = self.load(e.name[: -len(".json")])
+                if m is None:
+                    continue
+            if st.st_mtime_ns < settled_before:
+                memo[e.name] = (ident, m)
+            out.append(m)
+        if memo:
+            _MEMO[key] = memo
+        else:
+            _MEMO.pop(key, None)
+        return out
 
     def gc(self, *, now: float, ttl_seconds: float = 86400.0) -> list[str]:
         """Drop manifests older than ttl (BuildCache.clean,
