@@ -4,119 +4,203 @@ Re-expresses the reference's 6-pattern table scan
 (timestamp_patterns + try_timestamp + get_timestamp,
 logsender.py:332-365) as progressive narrowing over a string column:
 
-  for each (regex, fmt) in priority order:
+  for each (capture, fmt, grammar) in priority order:
       rows still unresolved -> anchored RE2 capture (pc.extract_regex)
-      -> whitespace-run collapse (CPython strptime treats format
-         whitespace as \\s+) -> vectorized strptime (pd.to_datetime,
-         exact full-string match) -> resolved rows leave the pending set
+      -> ASCII captures: DFA prefilter with the strptime grammar
+         (pc.match_substring_regex), then one named-group extract of
+         the fields on the rows that pass, then integer microseconds
+         assembled in numpy (days-from-civil, day-in-month check)
+      -> non-ASCII captures: datetime.strptime row by row
+      -> resolved rows leave the pending set
+
+Each grammar is the regex CPython's ``_strptime`` compiles for ``fmt``
+on ASCII input: the same component alternations, format whitespace as
+``\\s+`` over Python's whitespace set, literal letters matched without
+case.  Unicode digits and Unicode case folding are CPython's alone, so
+a capture that is not ASCII goes to ``datetime.strptime`` itself; that
+residue is the only per-row Python.  int64 microseconds cover years
+0001-9999, the whole ``datetime`` range.
 
 Pattern order is semantic (the greedy syslog fallback at
 logsender.py:341 matches almost anything); most real lines resolve at
-pattern 1 or 2, so later (slower, %A/%B named) patterns only ever see
-the residue.  The year-1900 patch (logsender.py:354-356) is applied
-vectorized via component reassembly, exactly mirroring
-``datetime.replace(year=...)`` (including rejecting Feb 29, which 1900
-already rejects at parse time).
+pattern 1 or 2, so later (%A/%B named) patterns only ever see the
+residue.  The year-1900 patch (logsender.py:354-356) substitutes
+``today_year`` after the day-in-month check: 1900 is not a leap year,
+so a valid 1900 date is valid in every year, as
+``datetime.replace(year=...)`` requires.
 """
 
 from __future__ import annotations
+
+import datetime
+import re
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# CPython-TimeRE-equivalent component regexes: pandas' strptime is
-# LENIENT where CPython's is not (e.g. '%f' accepts an EMPTY fraction
-# after the dot), so each capture is validated with the exact grammar
-# datetime.strptime would accept before pandas parses it.  Seconds cap
-# at 59 because datetime.strptime (unlike time.strptime) rejects 60/61.
-_Y = r"\d{4}"
-_MO = r"(?:1[0-2]|0[1-9]|[1-9])"
-_D = r"(?:3[01]|[12]\d|0[1-9]|[1-9])"
-_H = r"(?:2[0-3]|[01]\d|\d)"
-_MS = r"(?:[0-5]\d|\d)"
-_F = r"[0-9]{1,6}"
-_B3 = r"(?i:jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)"
-_BFULL = (r"(?i:january|february|march|april|may|june|july|august|"
-          r"september|october|november|december)")
-_AFULL = (r"(?i:monday|tuesday|wednesday|thursday|friday|saturday|sunday)")
+# Python's \s in str patterns and str.isspace() (29 code points); RE2's
+# \s is only [\t\n\f\r ].  _WS stands for \s, _NWS for \S.
+_WS_SET = (r"\t-\r\x{1c}-\x{1f} \x{85}\x{a0}\x{1680}\x{2000}-\x{200a}"
+           r"\x{2028}\x{2029}\x{202f}\x{205f}\x{3000}")
+_WS = f"[{_WS_SET}]"
+_NWS = f"[^{_WS_SET}]"
 
-# (anchored RE2 capture, strptime format, has_explicit_year, validator)
-# The pairs are the parse spec of logsender.py:332-346; validators run
-# AFTER whitespace-run collapse, so single spaces stand for \s+.
-PATTERNS: list[tuple[str, str, bool, str]] = [
-    (r"^(?P<g>\S+)", "%Y-%m-%dT%H:%M:%S.%fZ", True,
-     rf"^{_Y}-{_MO}-{_D}T{_H}:{_MS}:{_MS}\.{_F}Z$"),
-    (r"^(?P<g>\S+ \S+)", "%Y-%m-%d %H:%M:%S.%f", True,
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS}\.{_F}$"),
-    (r"^(?P<g>\S+ [0-9]{2}\s[0-9:.]{14})", "%b %d %H:%M:%S.%f", False,
-     rf"^{_B3} {_D} {_H}:{_MS}:{_MS}\.{_F}$"),
-    (r"^(?P<g>\S+ \S+ \S+)", "%b %d %H:%M:%S", False,
-     rf"^{_B3} {_D} {_H}:{_MS}:{_MS}$"),
-    (r"^(?P<g>[0-9-T:]{19})", "%Y-%m-%dT%H:%M:%S", True,
-     rf"^{_Y}-{_MO}-{_D}T{_H}:{_MS}:{_MS}$"),
-    (r"^(?P<g>\S+ [0-9]{2} \S+ [0-9: ]{14})", "%A %d %B %Y %H:%M:%S", False,
-     rf"^{_AFULL} {_D} {_BFULL} {_Y} {_H}:{_MS}:{_MS}$"),
+# CPython TimeRE components (_strptime.py), one named group per field.
+# Seconds cap at 59 because datetime.strptime (unlike time.strptime)
+# rejects 60/61.  %d's extra " [1-9]" alternative is left out: in these
+# tables %d follows either a \s+ run, which already absorbs the space,
+# or a '-' inside a whitespace-free capture.
+_Y = r"(?P<Y>\d{4})"
+_MO = r"(?P<m>1[0-2]|0[1-9]|[1-9])"
+_D = r"(?P<d>3[01]|[12]\d|0[1-9]|[1-9])"
+_H = r"(?P<H>2[0-3]|[01]\d|\d)"
+_M = r"(?P<M>[0-5]\d|\d)"
+_S = r"(?P<S>[0-5]\d|\d)"
+_F = r"(?P<f>[0-9]{1,6})"
+_HMS = f"{_H}:{_M}:{_S}"
+_MONTHS = ["january", "february", "march", "april", "may", "june", "july",
+           "august", "september", "october", "november", "december"]
+_B3 = "(?P<b>(?i:" + "|".join(m[:3] for m in _MONTHS) + "))"
+_BFULL = "(?P<B>(?i:" + "|".join(_MONTHS) + "))"
+_WEEKDAYS = ["monday", "tuesday", "wednesday", "thursday", "friday",
+             "saturday", "sunday"]
+# %A/%a are checked by name and then ignored, as CPython does once the
+# year, month and day are known.
+_AFULL = "(?i:" + "|".join(_WEEKDAYS) + ")"
+_A3 = "(?i:" + "|".join(w[:3] for w in _WEEKDAYS) + ")"
+_T, _Z = "(?i:T)", "(?i:Z)"
+_SP = f"{_WS}+"
+
+# (anchored RE2 capture, strptime format, named-group grammar).  The
+# capture/format pairs are the parse spec of logsender.py:332-346.
+PATTERNS: list[tuple[str, str, str]] = [
+    (rf"^(?P<g>{_NWS}+)", "%Y-%m-%dT%H:%M:%S.%fZ",
+     rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}\.{_F}{_Z}$"),
+    (rf"^(?P<g>{_NWS}+ {_NWS}+)", "%Y-%m-%d %H:%M:%S.%f",
+     rf"^{_Y}-{_MO}-{_D}{_SP}{_HMS}\.{_F}$"),
+    (rf"^(?P<g>{_NWS}+ [0-9]{{2}}{_WS}[0-9:.]{{14}})", "%b %d %H:%M:%S.%f",
+     rf"^{_B3}{_SP}{_D}{_SP}{_HMS}\.{_F}$"),
+    (rf"^(?P<g>{_NWS}+ {_NWS}+ {_NWS}+)", "%b %d %H:%M:%S",
+     rf"^{_B3}{_SP}{_D}{_SP}{_HMS}$"),
+    (r"^(?P<g>[0-9-T:]{19})", "%Y-%m-%dT%H:%M:%S",
+     rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}$"),
+    (rf"^(?P<g>{_NWS}+ [0-9]{{2}} {_NWS}+ [0-9: ]{{14}})",
+     "%A %d %B %Y %H:%M:%S",
+     rf"^{_AFULL}{_SP}{_D}{_SP}{_BFULL}{_SP}{_Y}{_SP}{_HMS}$"),
 ]
-
-
-def _replace_year(parsed: pd.Series, year: int) -> pd.Series:
-    """Vectorized datetime.replace(year=...) for rows parsed as 1900."""
-    mask = parsed.notna() & (parsed.dt.year == 1900)
-    if not mask.any():
-        return parsed
-    sub = parsed[mask]
-    rebuilt = pd.to_datetime(
-        {
-            "year": np.full(len(sub), year),
-            "month": sub.dt.month,
-            "day": sub.dt.day,
-            "hour": sub.dt.hour,
-            "minute": sub.dt.minute,
-            "second": sub.dt.second,
-            "microsecond": sub.dt.microsecond,
-        },
-        errors="coerce",
-    )
-    rebuilt.index = sub.index
-    out = parsed.copy()
-    out[mask] = rebuilt
-    return out
-
-
-_A3 = r"(?i:mon|tue|wed|thu|fri|sat|sun)"
 
 # The logstash date block (openstack-filters.conf:86-102) accepts 13
 # Joda formats on the grok-extracted ``logdate``; re-expressed as
-# (strptime fmt | "ISO8601", full-string validator AFTER whitespace-run
-# collapse, has_tz).  Order preserved from the conf; "MMM  d" and
-# "MMM dd" collapse to one row post-collapse (same fmt, same result).
-# Joda parses-but-ignores the E day-of-week token, matching CPython %a
-# (no cross-validation against the date).
+# (strptime fmt | "ISO8601", named-group grammar, has_tz).  Joda token
+# widths are exact (SSS = three digits, Z = [+-]HHMM with HH < 24 and
+# MM < 60); whitespace runs (RE2 \s) stand for each format space, so
+# "MMM  d" and "MMM dd" share one row.  Order preserved from the conf.
+_LS = r"\s+"
+_TZ = r"(?P<zs>[+-])(?P<zh>[01]\d|2[0-3])(?P<zm>[0-5]\d)"
+_YMD_HMS = f"{_Y}-{_MO}-{_D}{_LS}{_HMS}"
 LOGSTASH_DATE_FORMATS: list[tuple[str, str | None, bool]] = [
     ("%Y-%m-%d %H:%M:%S.%f",                                # .SSS
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS}\.\d{{3}}$", False),
+     rf"^{_YMD_HMS}\.(?P<f>\d{{3}})$", False),
     ("%Y-%m-%d %H:%M:%S.%f",                                # .SSSSSS
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS}\.\d{{6}}$", False),
+     rf"^{_YMD_HMS}\.(?P<f>\d{{6}})$", False),
     ("%Y-%m-%d %H:%M:%S,%f",                                # ,SSS
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS},\d{{3}}$", False),
+     rf"^{_YMD_HMS},(?P<f>\d{{3}})$", False),
     ("%Y-%m-%d %H:%M:%S",
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS}$", False),
+     rf"^{_YMD_HMS}$", False),
     ("%b %d %H:%M:%S",                                      # MMM [ d|dd]
-     rf"^{_B3} {_D} {_H}:{_MS}:{_MS}$", False),
+     rf"^{_B3}{_LS}{_D}{_LS}{_HMS}$", False),
     ("%b %d %H:%M:%S.%f",                                   # MMM dd ... .SSSSSS
-     rf"^{_B3} {_D} {_H}:{_MS}:{_MS}\.\d{{6}}$", False),
+     rf"^{_B3}{_LS}{_D}{_LS}{_HMS}\.(?P<f>\d{{6}})$", False),
     ("%d/%b/%Y:%H:%M:%S %z",                                # dd/MMM/yyyy:HH:mm:ss Z
-     rf"^{_D}/{_B3}/{_Y}:{_H}:{_MS}:{_MS} [+-]\d{{4}}$", True),
+     rf"^{_D}/{_B3}/{_Y}:{_HMS}{_LS}{_TZ}$", True),
     ("%Y-%m-%d %H:%M:%S.%f%z",                              # .SSSZ
-     rf"^{_Y}-{_MO}-{_D} {_H}:{_MS}:{_MS}\.\d{{3}}[+-]\d{{4}}$", True),
+     rf"^{_YMD_HMS}\.(?P<f>\d{{3}}){_TZ}$", True),
     ("%a %b %d %H:%M:%S %Y %z",                             # E MMM dd ... yyyy Z
-     rf"^{_A3} {_B3} {_D} {_H}:{_MS}:{_MS} {_Y} [+-]\d{{4}}$", True),
+     rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}{_LS}{_TZ}$", True),
     ("%a %b %d %H:%M:%S %Y",                                # E MMM dd ... yyyy
-     rf"^{_A3} {_B3} {_D} {_H}:{_MS}:{_MS} {_Y}$", False),
+     rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}$", False),
     ("ISO8601", None, True),                                # catch-all
 ]
+
+_ABBR = pa.array([m[:3] for m in _MONTHS])
+_FULL = pa.array(_MONTHS)
+# index 0 is the "unknown month" slot: no day is <= 0, so it rejects.
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_EPOCH = datetime.datetime(1970, 1, 1)
+_ONE_US = datetime.timedelta(microseconds=1)
+_MIN_US = (datetime.datetime.min - _EPOCH) // _ONE_US
+_MAX_US = (datetime.datetime.max - _EPOCH) // _ONE_US
+_GROUP = re.compile(r"\(\?P<\w+>")
+
+
+def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of the proleptic Gregorian (y, m, d)
+    (H. Hinnant's days_from_civil)."""
+    y = y - (m <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((m + 9) % 12) + 2) // 5 + d - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def _assemble(fields: pa.StructArray, today_year: int | None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Named-group captures -> (µs since the epoch, valid).
+
+    A missing Y is 1900, as in CPython; when ``today_year`` is given,
+    year 1900 becomes ``today_year`` after the day-in-month check."""
+    col = dict(zip((f.name for f in fields.type), fields.flatten()))
+
+    def num(name: str, default: int = 0) -> np.ndarray | int:
+        if name not in col:
+            return default
+        return pc.cast(col[name], pa.int64()).to_numpy()
+
+    def month(name: str, table: pa.Array) -> np.ndarray:
+        idx = pc.index_in(pc.utf8_lower(col[name]), value_set=table)
+        return pc.fill_null(idx, -1).to_numpy().astype(np.int64) + 1
+
+    y = np.broadcast_to(num("Y", 1900), len(fields))
+    m = (num("m") if "m" in col else month("b", _ABBR) if "b" in col
+         else month("B", _FULL))
+    d = num("d")
+    frac = (pc.cast(pc.utf8_rpad(col["f"], 6, "0"), pa.int64()).to_numpy()
+            if "f" in col else 0)
+    leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
+    ok = (y >= 1) & (d <= _DAYS_IN_MONTH[m] + (leap & (m == 2)))
+    if today_year is not None:
+        y = np.where(y == 1900, today_year, y)
+    secs = ((_days_from_civil(y, m, d) * 24 + num("H")) * 60
+            + num("M")) * 60 + num("S")
+    us = secs * 1_000_000 + frac
+    if "zs" in col:
+        sign = np.where(pc.equal(col["zs"], "-")
+                        .to_numpy(zero_copy_only=False), -1, 1)
+        us = us - sign * (num("zh") * 60 + num("zm")) * 60_000_000
+        ok &= (us >= _MIN_US) & (us <= _MAX_US)
+    return us, ok
+
+
+def _parse_fields(cap: pa.Array, grammar: str, today_year: int | None,
+                  only: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``cap`` that fully match ``grammar`` (and ``only``) ->
+    (hit mask, µs).  A group-free copy of the grammar runs first as a
+    DFA prefilter; the named-group extract runs on its matches only."""
+    ok = pc.fill_null(pc.match_substring_regex(
+        cap, pattern=_GROUP.sub("(?:", grammar)), False)
+    ok = ok.to_numpy(zero_copy_only=False)
+    idx = np.flatnonzero(ok if only is None else ok & only)
+    hit = np.zeros(len(cap), dtype=bool)
+    us = np.zeros(len(cap), dtype=np.int64)
+    if len(idx):
+        sub_us, valid = _assemble(
+            pc.extract_regex(cap.take(idx), pattern=grammar), today_year)
+        hit[idx] = valid
+        us[idx] = sub_us
+    return hit, us
 
 
 def normalize_logdate(
@@ -130,44 +214,38 @@ def normalize_logdate(
     timestamp[us] naive UTC; null where no format matches (logstash
     would tag _dateparsefailure and keep @timestamp).
 
-    Same progressive-narrowing shape as :func:`extract_timestamps`:
-    each format only ever sees the rows every earlier format rejected,
-    with anchored RE2 validators standing in for Joda's exact-width
-    tokens (pandas' strptime is more lenient than Joda; the validator
-    enforces e.g. SSS = exactly three digits)."""
+    Same progressive narrowing and field kernel as
+    :func:`extract_timestamps`; the grammars stand in for Joda's
+    exact-width tokens.  Only the ISO8601 catch-all goes through pandas,
+    on the rows every other format rejected."""
     if isinstance(logdate, pa.ChunkedArray):
         logdate = logdate.combine_chunks()
     n = len(logdate)
-    out = np.full(n, np.datetime64("NaT"), dtype="datetime64[us]")
+    us = np.zeros(n, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
     pending_idx = np.arange(n)
-    cur = pc.replace_substring_regex(
-        logdate, pattern=r"\s+", replacement=" ")
-    for fmt, validator, has_tz in LOGSTASH_DATE_FORMATS:
+    cur = logdate
+    for fmt, grammar, has_tz in LOGSTASH_DATE_FORMATS:
         if len(pending_idx) == 0:
             break
         if fmt == "ISO8601":
-            cap_pd = cur.to_pandas().astype(object)
-            parsed = pd.to_datetime(cap_pd, format="ISO8601",
-                                    errors="coerce", utc=True)
-            parsed = parsed.dt.tz_localize(None)
+            cur = pc.replace_substring_regex(cur, pattern=r"\s+",
+                                             replacement=" ")
+            parsed = pd.to_datetime(cur.to_pandas().astype(object),
+                                    format="ISO8601", errors="coerce",
+                                    utc=True).dt.tz_localize(None)
+            got = parsed.notna().to_numpy()
+            got_us = parsed.to_numpy().astype("datetime64[us]").view(np.int64)
         else:
-            valid = pc.fill_null(
-                pc.match_substring_regex(cur, pattern=validator), False)
-            cap = pc.if_else(valid, cur, pa.nulls(len(cur), pa.string()))
-            cap_pd = cap.to_pandas().astype(object)
-            parsed = pd.to_datetime(cap_pd, format=fmt, errors="coerce",
-                                    exact=True, utc=has_tz)
-            if has_tz:
-                parsed = parsed.dt.tz_localize(None)
-            else:
-                parsed = _replace_year(parsed, today_year)
-        hitmask = parsed.notna().to_numpy()
-        if hitmask.any():
-            out[pending_idx[hitmask]] = parsed.to_numpy()[hitmask]
-            keep = ~hitmask
+            got, got_us = _parse_fields(
+                cur, grammar, None if has_tz else today_year)
+        if got.any():
+            us[pending_idx[got]] = got_us[got]
+            hit[pending_idx[got]] = True
+            keep = ~got
             pending_idx = pending_idx[keep]
             cur = cur.filter(pa.array(keep))
-    return pa.Array.from_pandas(pd.Series(out), type=pa.timestamp("us"))
+    return pa.array(us, type=pa.timestamp("us"), mask=~hit)
 
 
 def extract_timestamps(lines: pa.Array | pa.ChunkedArray, today_year: int) -> pa.Array:
@@ -176,61 +254,37 @@ def extract_timestamps(lines: pa.Array | pa.ChunkedArray, today_year: int) -> pa
     Returns timestamp[us] (naive UTC, matching the reference's naive
     datetimes and DuckDB's default).
     """
-    import datetime as _dt
-
     if isinstance(lines, pa.ChunkedArray):
         lines = lines.combine_chunks()
     n = len(lines)
-    # us resolution: datetime.strptime parses years the ns range cannot
-    # represent (outside ~[1677, 2262]); the slow-path residue below
-    # needs them storable, and the output type is timestamp[us] anyway.
-    out = np.full(n, np.datetime64("NaT"), dtype="datetime64[us]")
+    us = np.zeros(n, dtype=np.int64)
+    hit = np.zeros(n, dtype=bool)
     pending_idx = np.arange(n)
     cur = lines
-    for regex, fmt, _has_year, validator in PATTERNS:
+    for capture, fmt, grammar in PATTERNS:
         if len(pending_idx) == 0:
             break
-        hit = pc.extract_regex(cur, pattern=regex)  # RE2, vectorized
-        cap = pc.struct_field(hit, "g")
-        # CPython strptime compiles format whitespace to \s+; collapse
-        # runs so e.g. the double-space ansible lines still parse.
-        cap = pc.replace_substring_regex(cap, pattern=r"\s+", replacement=" ")
-        # null out captures CPython's strptime grammar would reject
-        # (pandas is more lenient -- empty %f fractions etc.)
-        valid = pc.match_substring_regex(cap, pattern=validator)
-        valid_np = pc.fill_null(valid, False).to_numpy(zero_copy_only=False)
-        cap = pc.if_else(pc.fill_null(valid, False), cap,
-                         pa.nulls(len(cap), pa.string()))
-        cap_pd = cap.to_pandas().astype(object)
-        parsed = pd.to_datetime(cap_pd, format=fmt, errors="coerce", exact=True)
-        # try_timestamp (logsender.py:354-356) replaces year==1900
-        # UNCONDITIONALLY -- even a literal 1900 date from an explicit-%Y
-        # pattern is bumped to the current year.
-        parsed = _replace_year(parsed, today_year)
-        hitmask = parsed.notna().to_numpy()
-        if hitmask.any():
-            out[pending_idx[hitmask]] = parsed.to_numpy()[hitmask]
-        # slow-path residue: grammar-valid captures that pandas coerced
-        # to NaT (datetime64[ns] year range) -- parse them exactly as
-        # the reference does, row-wise datetime.strptime.  A handful of
-        # rows per corpus at most.
-        residue = valid_np & ~hitmask
-        if residue.any():
-            for i in np.nonzero(residue)[0]:
-                try:
-                    d = _dt.datetime.strptime(cap_pd.iloc[i], fmt)
-                except ValueError:
-                    continue
+        cap = pc.struct_field(pc.extract_regex(cur, pattern=capture), "g")
+        if cap.null_count == len(cap):
+            continue
+        ascii_ = pc.fill_null(pc.string_is_ascii(cap), True).to_numpy(
+            zero_copy_only=False)
+        got, got_us = _parse_fields(cap, grammar, today_year, ascii_)
+        # non-ASCII captures: CPython's own strptime, as the reference
+        # (Unicode digits, case folding and whitespace by construction)
+        for i in np.flatnonzero(~ascii_):
+            try:
+                d = datetime.datetime.strptime(cap[i].as_py(), fmt)
                 if d.year == 1900:
-                    try:
-                        d = d.replace(year=today_year)
-                    except ValueError:
-                        continue
-                out[pending_idx[i]] = np.datetime64(d.isoformat(), "us")
-                hitmask[i] = True
-        if hitmask.any():
-            keep = ~hitmask
+                    d = d.replace(year=today_year)
+            except ValueError:
+                continue
+            got[i] = True
+            got_us[i] = (d - _EPOCH) // _ONE_US
+        if got.any():
+            us[pending_idx[got]] = got_us[got]
+            hit[pending_idx[got]] = True
+            keep = ~got
             pending_idx = pending_idx[keep]
             cur = cur.filter(pa.array(keep))
-    return pa.Array.from_pandas(
-        pd.Series(out), type=pa.timestamp("us"))
+    return pa.array(us, type=pa.timestamp("us"), mask=~hit)

@@ -325,7 +325,10 @@ def fetch_build_meta(
         [{"payload": json.dumps(b, default=str)} for b in builds])
     out = ds.map_batches(MetaFetcher, batch_size=32,
                          concurrency=concurrency)
-    tables = [t for t in ray.get(out.to_arrow_refs()) if len(t)]
+    # iter_batches, not to_arrow_refs: the latter fetches the schema by
+    # running the plan again on one block, i.e. fetching inventories twice
+    tables = [t for t in out.iter_batches(batch_format="pyarrow",
+                                          batch_size=None) if len(t)]
     if not tables:
         return pa.table({n: pa.nulls(0, BUILD_META_SCHEMA.field(n).type)
                          for n in BUILD_META_SCHEMA.names},

@@ -389,9 +389,9 @@ def _parse_performance(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> p
 
     Per row, only the JSON decode, the flattening and a type check run
     in Python.  The report timestamps (logsender.py:384-391) are parsed
-    in ONE ``extract_timestamps`` call over the block: every call walks
-    the whole pattern table, so a call per row cost more than the whole
-    logline branch.  A missing or unparsable timestamp takes
+    in ONE ``extract_timestamps`` call over the block: every call runs
+    the pattern table's RE2 kernels once, a fixed cost that a call per
+    row would pay per row.  A missing or unparsable timestamp takes
     ``fallback_now``; a present non-string one raises ``TypeError``
     (dead-lettered with a quarantine dir), as in the reference.
     """

@@ -43,6 +43,37 @@ GOLDEN_TS = [
      datetime.datetime(1680, 1, 2, 3, 4, 5, 1)),
     ("1600-01-02 03:04:05.000001 | msg",
      datetime.datetime(1600, 1, 2, 3, 4, 5, 1)),
+    ("0001-01-01 00:00:00.0 | msg", datetime.datetime(1, 1, 1)),
+    ("9999-12-31 23:59:59.999999 | msg",
+     datetime.datetime(9999, 12, 31, 23, 59, 59, 999999)),
+    ("0000-03-25 17:40:37.123456 | msg", None),  # year 0 does not exist
+    # day-in-month: no Feb 29 without a leap year (yearless is 1900),
+    # no Sep 31, and the %A weekday name does not rescue April 31
+    ("Feb 29 12:00:00 host x", None),
+    ("2023-02-29 12:00:00.1 | msg", None),
+    ("2024-02-29 12:00:00.1 | msg", datetime.datetime(2024, 2, 29, 12, 0, 0, 100000)),
+    ("2000-02-29 12:00:00.1 | msg", datetime.datetime(2000, 2, 29, 12, 0, 0, 100000)),
+    ("2100-02-29 12:00:00.1 | msg", None),
+    ("Sep 31 10:00:00 host x", None),
+    ("Friday 31 April 2022  09:27:51 +0000", None),
+    ("1900-02-28T10:00:00+0000", datetime.datetime(YEAR, 2, 28, 10)),
+    # strptime matches format letters without case ...
+    ("2022-03-21t08:39:18.220547z | x",
+     datetime.datetime(2022, 3, 21, 8, 39, 18, 220547)),
+    # ... and Python's \s is str.isspace(), wider than RE2's [\t\n\f\r ]
+    ("Mar 21\x0b09:33:23.123456 host x",
+     datetime.datetime(YEAR, 3, 21, 9, 33, 23, 123450)),
+    ("Mar 21\xa009:33:23.123456 host",
+     datetime.datetime(YEAR, 3, 21, 9, 33, 23, 123450)),
+    ("Mar 21　09:33:23.123456 host x",
+     datetime.datetime(YEAR, 3, 21, 9, 33, 23, 123450)),
+    ("Mar 21\x1c09:33:23.123456 host x",
+     datetime.datetime(YEAR, 3, 21, 9, 33, 23, 123450)),
+    ("2022-03-21 08:39:18.22\x0bx",
+     datetime.datetime(2022, 3, 21, 8, 39, 18, 220000)),
+    # %Y/%d/%H/%M/%S take Unicode digits (here fullwidth)
+    ("２０２２-03-21 08:39:18.22 x",
+     datetime.datetime(2022, 3, 21, 8, 39, 18, 220000)),
 ]
 
 
@@ -56,6 +87,18 @@ def test_vectorized_timestamps_match_reference():
     got = extract_timestamps(pa.array(lines), YEAR).to_pylist()
     want = [ref.get_timestamp(line, YEAR) for line in lines]
     assert got == want
+
+
+def test_extract_timestamps_calls_no_pandas(monkeypatch):
+    import pandas as pd
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pandas.to_datetime on the timestamp path")
+
+    monkeypatch.setattr(pd, "to_datetime", forbidden)
+    lines = [line for line, _ in GOLDEN_TS]
+    got = extract_timestamps(pa.array(lines), YEAR).to_pylist()
+    assert got == [want for _, want in GOLDEN_TS]
 
 
 def test_vectorized_timestamps_match_reference_on_corpus(corpus_dir):
@@ -150,6 +193,14 @@ def test_normalize_logdate_all_13_formats():
         ("not a date", None),
         ("", None),
         ("2024-13-05 12:00:00", None),  # month 13 rejected by validator
+        ("2023-02-29 12:00:00", None),
+        ("15/Mar/2024:12:00:00 +2400", None),  # Joda Z: HH < 24, mm < 60
+        ("15/Mar/2024:12:00:00 +0060", None),
+        ("15/Mar/2024:12:00:00\t+2359", dt.datetime(2024, 3, 14, 12, 1)),
+        # every year datetime holds, not only datetime64[ns]'s 1677-2262
+        ("2500-03-05 12:00:00", dt.datetime(2500, 3, 5, 12, 0, 0)),
+        ("15/Mar/1500:12:00:00 +0000", dt.datetime(1500, 3, 15, 12, 0)),
+        ("01/Jan/0001:00:00:00 +0100", None),  # before datetime.min in UTC
     ]
     out = normalize_logdate(
         pa.array([c[0] for c in cases], pa.string()), 2024).to_pylist()

@@ -3,9 +3,11 @@ kernels must agree with the row-at-a-time reference semantics
 (reference_impl mirrors logsender.py exactly).  Catches regex-ordering
 and edge-case drift that golden fixtures cannot."""
 
+import datetime
+
 import numpy as np
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ci_log_processing_ray import reference_impl as ref
@@ -15,6 +17,13 @@ from ci_log_processing_ray.functions.messages import (
 )
 from ci_log_processing_ray.functions.timestamps import extract_timestamps
 
+# str.isspace() / Python re's \s: what strptime's format whitespace and
+# the reference's \s/\S capture classes use (RE2's \s is narrower)
+PY_WS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+         + "".join(map(chr, range(0x2000, 0x200B)))
+         + "\u2028\u2029\u202f\u205f\u3000")
+assert len(PY_WS) == 29 and PY_WS.isspace()
+
 # printable-ish lines, biased toward timestamp-like and pipe-y shapes
 line_st = st.one_of(
     st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
@@ -23,9 +32,14 @@ line_st = st.one_of(
         lambda date, sep, frac, tail: f"{date}{sep}{frac} | {tail}",
         st.sampled_from(["2022-03-25T17:40:37", "2022-03-25 17:40:37",
                          "Mar 25 17:40:37", "Friday 25 March 2022 17:40:37",
-                         "Mar 25 17:40:37.123", "not a date"]),
-        st.sampled_from([".", " ", ""]),
-        st.sampled_from(["123456", "999999", "0", ""]),
+                         "Mar 25 17:40:37.123", "not a date",
+                         "2022-03-25t17:40:37", "mAR 25 17:40:37",
+                         "２０２２-03-25 17:40:37", "2022-03-２５T17:40:37",
+                         "Mar 25\x0b17:40:37", "Mar\xa025 17:40:37",
+                         "Mar 25\u300017:40:37", "2022-03-25\x1c17:40:37"]),
+        st.sampled_from([".", " ", "", "\x0b", "\u3000"]),
+        st.sampled_from(["123456", "999999", "0", "", "123456Z",
+                         "123456z", "１２"]),
         st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
                 max_size=40),
     ),
@@ -34,11 +48,86 @@ line_st = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(line_st, min_size=1, max_size=20))
+@example(["2022-03-21t08:39:18.220547z | x"])
+@example(["Mar 21\x0b09:33:23.123456 host x", "2022-03-21 08:39:18.22\x0bx"])
+@example(["２０２２-03-21 08:39:18.22 x"])
 def test_timestamps_match_reference(lines):
     got = extract_timestamps(pa.array(lines, type=pa.string()), 2022)
     for line, g in zip(lines, got.to_pylist()):
         want = ref.get_timestamp(line, 2022)
         assert g == want, (line, g, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime.datetime(1, 1, 1)),
+       st.sampled_from([fmt for _, fmt in ref.TIMESTAMP_PATTERNS]),
+       st.lists(st.one_of(st.just(" "), st.text(PY_WS, min_size=1, max_size=3)),
+                min_size=5, max_size=5),
+       st.randoms(use_true_random=False),
+       st.sampled_from(["", " | msg", "  host x"]))
+def test_rendered_datetimes_match_reference(when, fmt, runs, rnd, tail):
+    """Any datetime in any of the 6 formats, with random letter case and
+    whitespace runs where the format has a space."""
+    text = when.strftime(fmt.replace("%Y", f"{when.year:04d}"))
+    parts = text.split(" ")
+    text = parts[0] + "".join(r + p for r, p in zip(runs, parts[1:]))
+    text = "".join(c.upper() if rnd.random() < 0.5 else c.lower()
+                   for c in text)
+    line = text + tail
+    got = extract_timestamps(pa.array([line], type=pa.string()), 2022)
+    assert got.to_pylist() == [ref.get_timestamp(line, 2022)], line
+
+
+# The 10 fixed Joda formats of the logstash date block
+# (openstack-filters.conf:86-102) as (strptime format, fraction digits).
+LOGSTASH_FIXED = [
+    ("%Y-%m-%d %H:%M:%S.%f", 3), ("%Y-%m-%d %H:%M:%S.%f", 6),
+    ("%Y-%m-%d %H:%M:%S,%f", 3), ("%Y-%m-%d %H:%M:%S", 0),
+    ("%b %d %H:%M:%S", 0), ("%b %d %H:%M:%S.%f", 6),
+    ("%d/%b/%Y:%H:%M:%S %z", 0), ("%Y-%m-%d %H:%M:%S.%f%z", 3),
+    ("%a %b %d %H:%M:%S %Y %z", 0), ("%a %b %d %H:%M:%S %Y", 0),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.datetimes(min_value=datetime.datetime(1, 1, 1)),
+       st.sampled_from(LOGSTASH_FIXED),
+       st.integers(min_value=-(23 * 60 + 59), max_value=23 * 60 + 59),
+       st.lists(st.text(" \t\n\f\r", min_size=1, max_size=3),
+                min_size=6, max_size=6),
+       st.randoms(use_true_random=False))
+def test_logdate_rendered_datetimes(when, fmt_digits, offset, runs, rnd):
+    """Any datetime in any fixed logstash format, with random month-name
+    case and whitespace runs: zoned formats give the UTC instant,
+    zoneless ones the wall time, yearless ones take today_year (no
+    Feb 29, as 1900 has none), and year 1900 becomes today_year."""
+    from ci_log_processing_ray.functions.timestamps import normalize_logdate
+
+    fmt, digits = fmt_digits
+    scale = 10 ** (6 - digits)
+    local = when.replace(microsecond=when.microsecond // scale * scale
+                         if digits else 0)
+    sign = "-" if offset < 0 else "+"
+    text = when.strftime(
+        fmt.replace("%Y", f"{when.year:04d}")
+        .replace("%f", f"{when.microsecond:06d}"[:digits])
+        .replace("%z", f"{sign}{abs(offset) // 60:02d}{abs(offset) % 60:02d}"))
+    parts = text.split(" ")
+    text = parts[0] + "".join(r + p for r, p in zip(runs, parts[1:]))
+    text = "".join(c.upper() if rnd.random() < 0.5 else c.lower()
+                   for c in text)
+    if "%z" in fmt:
+        try:
+            want = local - datetime.timedelta(minutes=offset)
+        except OverflowError:
+            want = None
+    elif "%Y" not in fmt:
+        want = (None if (local.month, local.day) == (2, 29)
+                else local.replace(year=2024))
+    else:
+        want = local.replace(year=2024) if local.year == 1900 else local
+    got = normalize_logdate(pa.array([text], type=pa.string()), 2024)
+    assert got.to_pylist() == [want], text
 
 
 @settings(max_examples=300, deadline=None)

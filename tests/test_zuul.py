@@ -239,26 +239,38 @@ def test_normalize_build_fields_aborted_empty_inventory():
     assert got["voting"] == want["voting"] == 2
 
 
-def test_fetch_build_meta_distributed(ray_session):
+def test_fetch_build_meta_distributed(ray_session, tmp_path):
+    """One row per build, and each inventory fetched exactly once (the
+    fetch runs in Ray workers, so GETs are counted in a file)."""
     inv_yaml = json.dumps(_inventory(True)).encode()  # JSON ⊂ YAML
+    log = str(tmp_path / "gets.log")
 
     def make_get(url):
+        with open(log, "a") as f:
+            f.write(url + "\n")
         if url.endswith("zuul-info/inventory.yaml"):
             return inv_yaml
         return None
 
-    builds = [_buildinfo(True), {
+    builds = [dict(_buildinfo(True), uuid=f"b{i}",
+                   log_url=f"https://storage.example/logs/{i}/")
+              for i in range(9)]
+    builds += [_buildinfo(True), {
         "uuid": "dead", "job_name": "j2", "result": "ABORTED",
         "ref": "r", "log_url": None, "tenant": "t",
         "end_time": "2022-03-25T17:41:00"}]
     meta = fetch_build_meta(builds, lambda: make_get)
-    assert meta.num_rows == 2
+    assert meta.num_rows == 11
     rows = {r["build_uuid"]: r for r in meta.to_pylist()}
     assert rows["abc"]["project"] == "openstack/nova"
     assert rows["abc"]["hosts_region"] == ["rax-DFW"]
     assert rows["abc"]["build_change"] == 812345
     assert rows["dead"]["build_status"] == "ABORTED"
     assert rows["dead"]["hosts_id"] == []
+    with open(log) as f:
+        gets = sorted(f.read().split())
+    assert gets == sorted(b["log_url"] + "zuul-info/inventory.yaml"
+                          for b in builds if b["log_url"])
 
 
 def test_run_live_end_to_end_and_idempotent(ray_session, tmp_path):
