@@ -1491,10 +1491,13 @@ def _collect(ds: ray.data.Dataset,
     case: a dataset whose every upstream block was empty can lose its
     schema entirely (Dataset.schema() is None -- seen at 135M lines
     when dominance legitimately empties), so result-shaped callers pass
-    their known output schema."""
+    their known output schema.  The dataset is materialized once, so an
+    empty result's schema comes from its blocks instead of a second,
+    ``limit(1)`` run of the plan."""
+    ds = ds.materialize()
     batches = list(ds.iter_batches(batch_format="pyarrow"))
     if not batches:
-        sch = ds.schema()
+        sch = ds.schema(fetch_if_missing=False)
         if sch is None:
             if fallback is not None:
                 return fallback.empty_table()

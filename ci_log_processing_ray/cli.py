@@ -76,14 +76,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitoring-port", type=int, default=None,
                    help="expose Prometheus metrics on this port "
                         "(reference --monitoring-port; 0 picks a free "
-                        "port).  Serves GET /metrics from the run's "
-                        "metrics manifests; most useful with --follow")
+                        "port).  Serves GET /metrics folded from the "
+                        "partition manifests under <out>/manifests, the "
+                        "run's only record; most useful with --follow")
     p.add_argument("--quarantine-dir", default=None,
                    help="dead-letter dir: corrupt performance/subunit "
                         "JSON rows land here as Parquet (with the "
                         "exception string) instead of killing their "
-                        "partition; the metrics manifest records the "
-                        "quarantined row count")
+                        "partition; /metrics counts its rows at scrape "
+                        "time (cilog_quarantined_rows)")
     return p
 
 
@@ -129,12 +130,10 @@ def main(argv: list[str] | None = None) -> int:
                              quarantine_dir=args.quarantine_dir)
 
         if args.monitoring_port is not None:
-            import os
-
             from .state.monitoring import MetricsServer, Monitoring
 
             metrics_server = MetricsServer(
-                Monitoring(os.path.join(args.out, "metrics")),
+                Monitoring(args.out, args.quarantine_dir),
                 port=args.monitoring_port)
             bound = metrics_server.start()
             print(json.dumps({"monitoring_port": bound}), flush=True)

@@ -92,8 +92,8 @@ class PipelineConfig:
     # rows whose payload raises (e.g. corrupt JSON) to quarantine
     # Parquet with the exception string attached
     # (stages/quarantine.py:quarantine_rows, content-addressed =>
-    # retry-stable), and the rest of the partition flows on.  The
-    # flagship metrics manifest records the quarantined row count.
+    # retry-stable), and the rest of the partition flows on.
+    # ``/metrics`` counts the quarantined rows at scrape time.
     # None = fail fast (a poison row kills its task), matching the
     # reference's behavior.  The vectorized logline branch keeps
     # fail-fast layout-contract semantics either way (its errors mean

@@ -203,6 +203,32 @@ def _parse_fields(cap: pa.Array, grammar: str, today_year: int | None,
     return hit, us
 
 
+def _parse_iso8601(cur: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Logstash's ISO8601 catch-all via pandas -> (hit mask, µs UTC).
+
+    pandas 2.2 ``to_datetime(format="ISO8601", utc=True)`` applies the
+    last UTC offset it parsed to later elements that carry none, so
+    rows with and without a trailing offset go through separate calls.
+    A date-only row that looks offset-bearing (``2024-03-05`` ends in
+    ``-05``) is parsed as a date either way."""
+    cur = pc.replace_substring_regex(cur, pattern=r"\s+", replacement=" ")
+    zoned = pc.fill_null(pc.match_substring_regex(
+        cur, pattern=r"(?i)(?:z|[+-]\d\d(?::?\d\d)?) ?$"), False)
+    zoned = zoned.to_numpy(zero_copy_only=False)
+    got = np.zeros(len(cur), dtype=bool)
+    us = np.zeros(len(cur), dtype=np.int64)
+    for part in (zoned, ~zoned):
+        idx = np.flatnonzero(part)
+        if len(idx) == 0:
+            continue
+        parsed = pd.to_datetime(cur.take(idx).to_pandas().astype(object),
+                                format="ISO8601", errors="coerce",
+                                utc=True).dt.tz_localize(None)
+        got[idx] = parsed.notna().to_numpy()
+        us[idx] = parsed.to_numpy().astype("datetime64[us]").view(np.int64)
+    return got, us
+
+
 def normalize_logdate(
     logdate: pa.Array | pa.ChunkedArray, today_year: int
 ) -> pa.Array:
@@ -229,13 +255,7 @@ def normalize_logdate(
         if len(pending_idx) == 0:
             break
         if fmt == "ISO8601":
-            cur = pc.replace_substring_regex(cur, pattern=r"\s+",
-                                             replacement=" ")
-            parsed = pd.to_datetime(cur.to_pandas().astype(object),
-                                    format="ISO8601", errors="coerce",
-                                    utc=True).dt.tz_localize(None)
-            got = parsed.notna().to_numpy()
-            got_us = parsed.to_numpy().astype("datetime64[us]").view(np.int64)
+            got, got_us = _parse_iso8601(cur)
         else:
             got, got_us = _parse_fields(
                 cur, grammar, None if has_tz else today_year)

@@ -22,16 +22,17 @@ import ray.data
 
 
 def _arrowized(ds: "ray.data.Dataset"):
-    """Normalize a dataset to Arrow blocks and return (ds, pa.Schema).
+    """Materialize a dataset as Arrow blocks; return (ds, pa.Schema).
 
     Pandas-block sources (from_pandas / from_items) report a
     PandasBlockSchema; the typed-union construction in the co-partition
-    joins below needs one Arrow schema model."""
-    sch = ds.schema().base_schema
-    if isinstance(sch, pa.Schema):
-        return ds, sch
+    joins below needs one Arrow schema model.  The schema is read off
+    the materialized blocks: ``Dataset.schema()`` on an unexecuted plan
+    runs ``limit(1)`` of it and cancels the rest of its tasks, and Ray
+    2.49's core can abort the calling process on a task completing
+    mid-cancel."""
     ds = ds.map_batches(lambda t: t, batch_format="pyarrow",
-                        zero_copy_batch=True)
+                        zero_copy_batch=True).materialize()
     return ds, ds.schema().base_schema
 
 

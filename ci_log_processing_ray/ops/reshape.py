@@ -107,17 +107,13 @@ def union_by_name(
     output schema is the first-seen type per name in input order.
     Disagreeing types for the same name fail loudly.
 
-    Pure map per input (no shuffle): each block projects onto the
-    unified schema; ``Dataset.union`` then concatenates lazily, so the
-    result streams like any other source."""
-    schemas = []
-    for d in datasets:
-        s = d.schema().base_schema
-        if not isinstance(s, pa.Schema):
-            d = d.map_batches(lambda t: t, batch_format="pyarrow",
-                              zero_copy_batch=True)
-            s = d.schema().base_schema
-        schemas.append((d, s))
+    Each input is materialized once (``_arrowized``) so its schema
+    comes from its blocks, not from a ``limit(1)`` run of its plan; each
+    block then projects onto the unified schema (a map, no shuffle) and
+    ``Dataset.union`` concatenates them."""
+    from .relational import _arrowized
+
+    schemas = [_arrowized(d) for d in datasets]
     unified: dict = {}
     for _, s in schemas:
         for f in s:

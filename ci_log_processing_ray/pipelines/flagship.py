@@ -13,7 +13,8 @@ The Ray-Data-native equivalent of logscraper+logsender end to end
        partials are its only output (A2)
     7. rename each partition into place, then commit its
        lineage manifest (idempotent commit)
-    8. metrics manifest for the batch                          [ST5/A1]
+    8. nothing more: the partition manifests (with the batch digest)
+       are the run's only record; ``/metrics`` folds them  [ST5/A1]
 
 Steps 3-5 (``route_rows``) and 6-8 (``write_and_commit``) are shared
 with the live pipeline (pipelines/live.py), which differs only in its
@@ -253,28 +254,19 @@ def summarize_partials(
     return summaries, counts
 
 
-def _quarantined_rows(quarantine_dir: str) -> int:
-    """Total poison rows currently in the quarantine dir
-    (content-addressed files -> retry-stable)."""
-    if not os.path.isdir(quarantine_dir):
-        return 0
-    return sum(pq.ParquetFile(os.path.join(quarantine_dir, f)).metadata.num_rows
-               for f in os.listdir(quarantine_dir) if f.endswith(".parquet"))
-
-
 def write_and_commit(
     routed: ray.data.Dataset,
     out_dir: str,
     store: ManifestStore,
     pid_names: Sequence[str],
     input_paths: Sequence[str],
-    cfg: PipelineConfig,
     *,
     clock_now: float = 0.0,
     n_skipped: int = 0,
 ) -> RunResult:
     """The shared tail of a pipeline tick: staged fan-out write ->
-    per-partition rename -> manifest commit -> metrics manifest.
+    per-partition rename -> manifest commit.  The manifests, each
+    carrying the batch digest, are the tick's only record.
 
     ``routed`` rows carry ``_partition`` = i for the partition whose
     stable id is ``pid_names[i]`` and whose lineage input is
@@ -284,14 +276,17 @@ def write_and_commit(
     copies of one partition's rows.  Manifests commit only after the
     partition dir is renamed into place -- the reference's
     commit-after-pool ordering (logscraper.py:724-729) made
-    exactly-once by determinism.
+    exactly-once by determinism.  One writer per out dir: whatever is
+    under ``<out>/.staging`` when a tick starts is a crashed tick's
+    leftover, so the whole staging root is cleared.
     """
     digest = hashlib.sha256(
         "\n".join(sorted(input_paths)).encode()).hexdigest()[:16]
     routed_root = os.path.join(out_dir, "routed")
-    staging_dir = os.path.join(out_dir, ".staging", f"batch-{digest}")
-    shutil.rmtree(staging_dir, ignore_errors=True)
-    os.makedirs(staging_dir, exist_ok=True)
+    staging_root = os.path.join(out_dir, ".staging")
+    staging_dir = os.path.join(staging_root, f"batch-{digest}")
+    shutil.rmtree(staging_root, ignore_errors=True)
+    os.makedirs(staging_dir)
     os.makedirs(routed_root, exist_ok=True)
     # single streaming pass: per-sink fan-out write + count partials out
     # iter_batches, not to_arrow_refs: the latter fetches the schema by
@@ -305,11 +300,14 @@ def write_and_commit(
     manifests: list[Manifest] = []
     for pid, path, (row_count, per_sink, checksum) in zip(
             pid_names, input_paths, summaries):
-        # replace-then-commit, per partition: remove any prior copy of
-        # this partition's output (a re-run after partial failure), move
-        # the fresh one into place, THEN commit the manifest.
+        # uncommit-replace-commit, per partition: drop any prior
+        # manifest first (so a crash below leaves the partition
+        # pending, never committed over a missing dir), remove any
+        # prior copy of its output, move the fresh one into place, THEN
+        # commit the manifest.
         src = os.path.join(staging_dir, f"part-{pid}")
         dst = os.path.join(routed_root, f"part-{pid}")
+        store.remove(pid)
         shutil.rmtree(dst, ignore_errors=True)
         if os.path.isdir(src):
             os.rename(src, dst)
@@ -320,27 +318,11 @@ def write_and_commit(
             per_sink_counts=per_sink,
             token_checksum=checksum,
             committed_at=clock_now,
+            batch=digest,
         )
         store.commit(m)
         manifests.append(m)
-    shutil.rmtree(staging_dir, ignore_errors=True)
-
-    per_sink_total: dict[str, int] = {}
-    for sink, n_docs in zip(counts["sink"].to_pylist(),
-                            counts["doc_count"].to_pylist()):
-        per_sink_total[sink] = per_sink_total.get(sink, 0) + n_docs
-    metrics = {
-        "batch": digest,
-        "n_partitions": len(pid_names),
-        "total_docs": sum(per_sink_total.values()),
-        "per_sink": per_sink_total,
-    }
-    if cfg.quarantine_dir is not None:
-        metrics["quarantined_rows"] = _quarantined_rows(cfg.quarantine_dir)
-    metrics_dir = os.path.join(out_dir, "metrics")
-    os.makedirs(metrics_dir, exist_ok=True)
-    with open(os.path.join(metrics_dir, f"batch-{digest}.json"), "w") as f:
-        json.dump(metrics, f, sort_keys=True)
+    shutil.rmtree(staging_root, ignore_errors=True)
 
     return RunResult(routed_root, counts, manifests, len(pid_names),
                      n_skipped)
@@ -371,7 +353,7 @@ def run_pipeline(
         return RunResult(None, _counts_from_manifests(store), [], 0, len(paths))
     return write_and_commit(
         build_routed(pending, meta, cfg, file_config), out_dir, store,
-        [partition_id(p) for p in pending], pending, cfg,
+        [partition_id(p) for p in pending], pending,
         clock_now=clock_now, n_skipped=len(paths) - len(pending))
 
 

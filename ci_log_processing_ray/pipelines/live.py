@@ -11,10 +11,11 @@ pipeline tick:
            -> parse -> enrich -> route -> per-sink fan-out write with
            conformance count partials (S12/A2)
   driver: per-BUILD manifest commit after the partition rename, then
-          the tick's metrics manifest -- the batch pipeline's own
-          ``write_and_commit`` tail with the build uuid as the
-          partition key, so a crashed run re-fetches only uncommitted
-          builds and a second identical run is a no-op.
+          nothing else: the batch pipeline's own ``write_and_commit``
+          tail with the build uuid as the partition key, so a crashed
+          run re-fetches only uncommitted builds and a second identical
+          run is a no-op.  The per-build manifests are the tick's only
+          record; ``--monitoring-port`` folds them (state/monitoring.py).
 
 All network access is injected (``get_json`` / ``fetcher_factory``):
 tests drive the whole path from dict-backed fakes; a deployment plugs
@@ -129,4 +130,4 @@ def run_live(
                           zero_copy_batch=True)
     return write_and_commit(
         route_rows(ds, meta, cfg, file_config), out_dir, store, pid_names,
-        [f"zuul://{u}" for u in uuids], cfg, clock_now=clock_now)
+        [f"zuul://{u}" for u in uuids], clock_now=clock_now)

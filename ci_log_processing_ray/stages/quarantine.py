@@ -65,14 +65,7 @@ def safe_map_batches(
 
         bisect(t)
         if bad and quarantine_dir is not None:
-            qt = pa.concat_tables(bad).append_column(
-                "_error", pa.array(errs, type=pa.string()))
-            os.makedirs(quarantine_dir, exist_ok=True)
-            digest = hashlib.md5(
-                b"".join(batch.serialize() for batch
-                         in qt.to_batches())).hexdigest()[:16]
-            pq.write_table(
-                qt, os.path.join(quarantine_dir, f"poison-{digest}.parquet"))
+            quarantine_rows(pa.concat_tables(bad), errs, quarantine_dir)
         if good:
             return pa.concat_tables(good)
         if out_schema is not None:
@@ -96,5 +89,17 @@ def quarantine_rows(rows: pa.Table, errors: list[str],
     digest = hashlib.md5(
         b"".join(batch.serialize() for batch
                  in qt.to_batches())).hexdigest()[:16]
-    pq.write_table(
-        qt, os.path.join(quarantine_dir, f"poison-{digest}.parquet"))
+    # tmp + rename: a scrape counting the dir never opens a torn file
+    path = os.path.join(quarantine_dir, f"poison-{digest}.parquet")
+    tmp = f"{path}.tmp-{os.getpid()}"
+    pq.write_table(qt, tmp)
+    os.replace(tmp, path)
+
+
+def quarantined_rows(quarantine_dir: str) -> int:
+    """Total poison rows currently in the quarantine dir
+    (content-addressed files -> retry-stable)."""
+    if not os.path.isdir(quarantine_dir):
+        return 0
+    return sum(pq.ParquetFile(os.path.join(quarantine_dir, f)).metadata.num_rows
+               for f in os.listdir(quarantine_dir) if f.endswith(".parquet"))

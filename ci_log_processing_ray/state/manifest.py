@@ -12,9 +12,13 @@ Mirrors the reference's BuildCache semantics (logscraper.py:227-292):
 * TTL GC of stale manifests mirrors BuildCache.clean's 1-day TTL
   (logscraper.py:279-284); ``now`` is injected for determinism.
 
-A manifest is a small JSON file written atomically (tmp + rename) and
-doubles as the metrics record for its partition (row counts, per-sink
-counts, token checksum) -- ST5's metrics surface.
+A manifest is a small JSON file written atomically (tmp + rename).  It
+is the ONLY record of a pipeline tick: there is no separate per-batch
+metrics file.  It carries the partition's row count, per-sink counts,
+token checksum and the digest of the batch that committed it, and
+``/metrics`` (state/monitoring.py) is a fold over the committed
+manifests -- ST5's metrics surface.  Manifests written before the
+``batch`` field existed load with ``batch=None``.
 
 Reading the store: the reference loads its cache once and then writes
 only the delta; here every idle tick reads the whole store.  ``all()``
@@ -63,6 +67,7 @@ class Manifest:
     per_sink_counts: dict[str, int] = field(default_factory=dict)
     token_checksum: Optional[str] = None
     committed_at: Optional[float] = None  # injected clock, not wall time
+    batch: Optional[str] = None  # digest of the committing batch
 
 
 # A file younger than this at scan time is re-read on every scan.
@@ -90,6 +95,13 @@ class ManifestStore:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+
+    def remove(self, pid: str) -> None:
+        """Uncommit one partition: it reads as pending again."""
+        try:
+            os.unlink(self._path(pid))
+        except FileNotFoundError:
+            pass
 
     def load(self, pid: str) -> Optional[Manifest]:
         try:
@@ -144,7 +156,7 @@ class ManifestStore:
         removed = []
         for m in self.all():
             if m.committed_at is not None and now - m.committed_at > ttl_seconds:
-                os.unlink(self._path(m.partition_id))
+                self.remove(m.partition_id)
                 removed.append(m.partition_id)
         return removed
 

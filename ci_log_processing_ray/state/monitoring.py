@@ -2,38 +2,39 @@
 
 The reference exposes a ``logscraper_job_count`` Gauge through
 ``prometheus_client.start_http_server`` when ``--monitoring-port`` is
-set (logscraper/logscraper.py:295-304, 766-768).  The rebuild's batch
-engine already persists per-batch metrics manifests
-(``<out>/metrics/batch-<digest>.json``, written by
-pipelines/flagship.py); this module closes the live-observability gap
-with a THIN stdlib exporter over those manifests:
+set (logscraper/logscraper.py:295-304, 766-768).  The rebuild's only
+record of a pipeline tick is the per-partition manifest
+(``<out>/manifests/<pid>.json``, state/manifest.py); this module is a
+THIN stdlib exporter that folds those manifests:
 
-* :class:`Monitoring` — counter registry + Prometheus text exposition
-  (format 0.0.4).  ``refresh_from_dir()`` rescans the metrics dir and
-  folds each batch manifest exactly once (keyed by batch digest), so the
-  exporter is pull-driven and idempotent: a ``--follow`` loop writes
-  manifests, the exporter re-reads on every scrape, nothing is double
-  counted.
-* :class:`MetricsServer` — a daemon-threaded ``http.server`` serving
+* :class:`Monitoring` -- ``refresh_from_dir()`` reads
+  ``ManifestStore.all()`` (memoized: an idle scrape parses nothing) and
+  folds each partition id exactly once, so re-scrapes are no-ops and a
+  later TTL ``gc`` of old manifests never makes a counter go down.
+  ``render()`` is the Prometheus text exposition (format 0.0.4).
+* :class:`MetricsServer` -- a daemon-threaded ``http.server`` serving
   ``GET /metrics``; no third-party prometheus_client needed (absent in
   this environment), and the scrape path never touches Ray.
 
-Exposed series (all monotonic counters in batch terms):
+Exposed series:
 
-    cilog_batches_total
-    cilog_docs_total
+    cilog_batches_total           distinct batch digests folded
+    cilog_docs_total              sum of row_count
     cilog_docs_per_sink_total{sink="..."}
-    cilog_partitions_total
-    cilog_quarantined_rows        (last observed value; gauge)
+    cilog_partitions_total        partitions folded
+    cilog_quarantined_rows        rows in the quarantine dir at scrape
+                                  time (gauge; only with a quarantine dir)
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from ..stages.quarantine import quarantined_rows
+from .manifest import ManifestStore
 
 _LABEL_SAFE = re.compile(r"\\|\n|\"")
 
@@ -44,113 +45,66 @@ def _escape_label(v: str) -> str:
 
 
 class Monitoring:
-    """Counter registry fed by the flagship's metrics manifests.
+    """Counters folded from the partition manifests under
+    ``<out_dir>/manifests``, plus the quarantine gauge.
 
-    Thread-safe: the HTTP handler refreshes + renders under a lock
-    while the pipeline loop keeps writing new ``batch-*.json`` files.
+    Thread-safe: scrapes fold under one lock while the pipeline loop
+    keeps committing manifests.
     """
 
-    def __init__(self, metrics_dir: str | None = None):
-        self.metrics_dir = metrics_dir
+    def __init__(self, out_dir: str, quarantine_dir: str | None = None):
+        self.manifest_dir = os.path.join(out_dir, "manifests")
+        self.quarantine_dir = quarantine_dir
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
-        self._counters: dict[tuple[str, tuple[tuple[str, str], ...]],
-                             int] = {}
-        self._gauges: dict[str, int] = {}
-        # chronological key for snapshot gauges: digests sort by
-        # content hash, not time, so the gauge follows file mtime
-        self._gauge_mtime: float = float("-inf")
+        self._partitions: set[str] = set()
+        self._batches: set[str] = set()
+        self._docs = 0
+        self._per_sink: dict[str, int] = {}
 
-    # -- registry -----------------------------------------------------
-    def inc(self, name: str, labels: dict[str, str] | None = None,
-            amount: int = 1) -> None:
-        key = (name, tuple(sorted((labels or {}).items())))
-        with self._lock:
-            self._counters[key] = self._counters.get(key, 0) + int(amount)
-
-    # -- manifest ingestion -------------------------------------------
     def refresh_from_dir(self) -> int:
-        """Fold every not-yet-seen ``batch-*.json`` manifest into the
-        counters.  Returns the number of NEW manifests folded.  Safe to
-        call on every scrape: manifests are keyed by their batch digest
-        (deterministic content hash), so re-scans are no-ops."""
-        if not self.metrics_dir or not os.path.isdir(self.metrics_dir):
+        """Fold every committed partition not folded before.  Returns
+        the number of partitions newly folded."""
+        if not os.path.isdir(self.manifest_dir):
             return 0
+        manifests = ManifestStore(self.manifest_dir).all()
         new = 0
-        for fname in sorted(os.listdir(self.metrics_dir)):
-            if not (fname.startswith("batch-") and fname.endswith(".json")):
-                continue
-            path = os.path.join(self.metrics_dir, fname)
-            try:
-                with open(path) as f:
-                    m = json.load(f)
-                # validate EVERY numeric field before touching any
-                # state: a manifest that parses as JSON but carries a
-                # malformed value must be skipped whole, not folded
-                # half-way (which would 500 the scrape and, with the
-                # digest already marked seen, lose the batch forever)
-                total_docs = int(m.get("total_docs", 0))
-                n_partitions = int(m.get("n_partitions", 0))
-                per_sink = {str(s): int(c)
-                            for s, c in (m.get("per_sink") or {}).items()}
-                quarantined = (int(m["quarantined_rows"])
-                               if "quarantined_rows" in m else None)
-                mtime = os.path.getmtime(path)
-            except (OSError, ValueError, TypeError):
-                continue  # partially-written manifest: pick up next scrape
-            digest = str(m.get("batch", fname))
-            with self._lock:
-                if digest in self._seen:
+        with self._lock:
+            for m in manifests:
+                if m.partition_id in self._partitions:
                     continue
-                self._seen.add(digest)
-            new += 1
-            self.inc("cilog_batches_total")
-            self.inc("cilog_docs_total", amount=total_docs)
-            self.inc("cilog_partitions_total", amount=n_partitions)
-            for sink, c in per_sink.items():
-                self.inc("cilog_docs_per_sink_total", {"sink": sink}, c)
-            with self._lock:
-                # newest-by-mtime wins: listdir order is digest order.
-                # compare and set under ONE lock hold, so two concurrent
-                # scrapes cannot leave an older value behind
-                if quarantined is not None and mtime >= self._gauge_mtime:
-                    self._gauge_mtime = mtime
-                    self._gauges["cilog_quarantined_rows"] = quarantined
+                self._partitions.add(m.partition_id)
+                if m.batch is not None:
+                    self._batches.add(m.batch)
+                self._docs += m.row_count
+                for sink, c in m.per_sink_counts.items():
+                    self._per_sink[sink] = self._per_sink.get(sink, 0) + c
+                new += 1
         return new
-
-    # -- exposition ---------------------------------------------------
-    _HELP = {
-        "cilog_batches_total": ("counter", "Committed pipeline batches"),
-        "cilog_docs_total": ("counter", "Documents routed to sinks"),
-        "cilog_docs_per_sink_total": ("counter",
-                                      "Documents routed, per sink"),
-        "cilog_partitions_total": ("counter",
-                                   "Input partitions processed"),
-        "cilog_quarantined_rows": ("gauge",
-                                   "Poison rows currently quarantined"),
-    }
 
     def render(self) -> str:
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
+            series = [
+                ("cilog_batches_total", "counter",
+                 "Committed pipeline batches", [("", len(self._batches))]),
+                ("cilog_docs_total", "counter",
+                 "Documents routed to sinks", [("", self._docs)]),
+                ("cilog_docs_per_sink_total", "counter",
+                 "Documents routed, per sink",
+                 [(f'{{sink="{_escape_label(s)}"}}', c)
+                  for s, c in sorted(self._per_sink.items())]),
+                ("cilog_partitions_total", "counter",
+                 "Input partitions processed",
+                 [("", len(self._partitions))]),
+            ]
+        if self.quarantine_dir is not None:
+            series.append(("cilog_quarantined_rows", "gauge",
+                           "Poison rows currently quarantined",
+                           [("", quarantined_rows(self.quarantine_dir))]))
         lines: list[str] = []
-        names = sorted({n for n, _ in counters} | set(gauges))
-        for name in names:
-            typ, help_ = self._HELP.get(name, ("counter", name))
+        for name, typ, help_, samples in series:
             lines.append(f"# HELP {name} {help_}")
             lines.append(f"# TYPE {name} {typ}")
-            if name in gauges:
-                lines.append(f"{name} {gauges[name]}")
-            for (n, labels), v in sorted(counters.items()):
-                if n != name:
-                    continue
-                if labels:
-                    lab = ",".join(
-                        f'{k}="{_escape_label(v_)}"' for k, v_ in labels)
-                    lines.append(f"{name}{{{lab}}} {v}")
-                else:
-                    lines.append(f"{name} {v}")
+            lines.extend(f"{name}{labels} {v}" for labels, v in samples)
         return "\n".join(lines) + "\n"
 
 

@@ -206,3 +206,16 @@ def test_normalize_logdate_all_13_formats():
         pa.array([c[0] for c in cases], pa.string()), 2024).to_pylist()
     for (s, want), got in zip(cases, out):
         assert got == want, (s, got, want)
+
+
+def test_normalize_logdate_iso8601_offset_stays_on_its_row():
+    """pandas 2.2's ISO8601 parser applies the last UTC offset it saw to
+    later rows that carry none; each row must parse as if alone."""
+    import datetime as dt
+
+    from ci_log_processing_ray.functions.timestamps import normalize_logdate
+
+    got = normalize_logdate(pa.array(
+        ["2024-03-05T12:00:00+02:00", "2000-10-06 10:06:34.0811"]), 2024)
+    assert got.to_pylist() == [dt.datetime(2024, 3, 5, 10, 0),
+                               dt.datetime(2000, 10, 6, 10, 6, 34, 81100)]

@@ -15,7 +15,6 @@ import time
 
 import pyarrow as pa
 
-from ci_log_processing_ray.config import PipelineConfig
 from ci_log_processing_ray.pipelines.flagship import (
     _PARTIAL_SCHEMA,
     summarize_partials,
@@ -177,8 +176,7 @@ def test_write_and_commit_on_an_empty_dataset(ray_session, tmp_path):
     }))
     out = str(tmp_path / "out")
     store = ManifestStore(os.path.join(out, "manifests"))
-    res = write_and_commit(routed, out, store, ["a", "b"], ["/in/a", "/in/b"],
-                           PipelineConfig())
+    res = write_and_commit(routed, out, store, ["a", "b"], ["/in/a", "/in/b"])
 
     assert [(m.partition_id, m.row_count, m.per_sink_counts, m.token_checksum)
             for m in store.all()] == [

@@ -2686,6 +2686,41 @@ def test_union_by_name_schema_drift(ray_session):
         union_by_name([a, c])
 
 
+def test_schemas_need_no_limit_run(ray_session, monkeypatch):
+    """``union_by_name`` and ``_arrowized`` read schemas off materialized
+    blocks.  ``Dataset.schema()`` on an unexecuted plan runs ``limit(1)``
+    of it and cancels the rest of its tasks, which Ray 2.49's core can
+    abort the calling process on; so no ``Dataset.limit`` call is allowed."""
+    import pyarrow.compute as pc
+
+    from ci_log_processing_ray.ops.relational import _arrowized
+    from ci_log_processing_ray.ops.reshape import union_by_name
+
+    calls = []
+    limit = ray.data.Dataset.limit
+
+    def counting(self, n):
+        calls.append(n)
+        return limit(self, n)
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", counting)
+    old = ray.data.range(6).map_batches(
+        lambda t: t.filter(pc.equal(pc.bit_wise_and(t["id"], 1), 0)),
+        batch_format="pyarrow")
+    new = ray.data.from_items([{"id": 1, "lang": "en"}]).map_batches(
+        lambda t: t, batch_format="pandas")
+    out = union_by_name([old, new])
+    ds, schema = _arrowized(ray.data.from_pandas(
+        pd.DataFrame({"k": [1, 2], "v": ["a", "b"]})))
+    ds2, schema2 = _arrowized(old)
+    assert calls == []
+    assert schema.names == ["k", "v"] and schema2.names == ["id"]
+    assert ds.count() == 2 and ds2.count() == 3
+    got = out.to_pandas().sort_values("id")
+    assert got["id"].tolist() == [0, 1, 2, 4]
+    assert got["lang"].tolist()[1] == "en" and got["lang"].isna().sum() == 3
+
+
 def test_dense_grid_counts_zero_fill(ray_session):
     import datetime as _dt
     from ci_log_processing_ray.ops.window import dense_grid_counts

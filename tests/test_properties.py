@@ -215,3 +215,35 @@ def test_simhash_batch_property(texts, seed):
     got = _simhash_batch(texts, seed)
     want = np.array([rowwise(t) for t in texts], dtype=np.uint64)
     assert (got == want).all(), texts
+
+
+# ISO8601-catch-all shapes: date, optional T/space + time with optional
+# fraction, optional Z / ±hh / ±hhmm / ±hh:mm offset, plus near-misses
+iso_st = st.one_of(
+    st.builds(
+        lambda when, sep, time_fmt, frac, tz: (
+            f"{when.year:04d}{when.strftime('-%m-%d')}"
+            + (sep + when.strftime(time_fmt) + frac + tz if sep else "")),
+        st.datetimes(min_value=datetime.datetime(1, 1, 1)),
+        st.sampled_from(["", "T", " ", "t", "  "]),
+        st.sampled_from(["%H:%M:%S", "%H:%M", "%H", "%H%M%S"]),
+        st.sampled_from(["", ".0811", ".5", ",123", ".123456789"]),
+        st.sampled_from(["", "Z", "z", "+02:00", "-0330", "+05", " +0100",
+                         "-12", "+2359", "+99:99"])),
+    st.text(alphabet="0123456789-+:TZ. ", max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(iso_st, min_size=1, max_size=12))
+@example(["2024-03-05T12:00:00+02:00", "2000-10-06 10:06:34.0811"])
+def test_logdate_batch_equals_rows(texts):
+    """``normalize_logdate`` of a batch equals its per-row calls: no
+    row's result depends on its neighbours (the ISO8601 catch-all once
+    carried one row's UTC offset into later rows without one)."""
+    from ci_log_processing_ray.functions.timestamps import normalize_logdate
+
+    got = normalize_logdate(pa.array(texts, type=pa.string()), 2024)
+    rows = [normalize_logdate(pa.array([t], type=pa.string()), 2024)[0]
+            .as_py() for t in texts]
+    assert got.to_pylist() == rows, texts

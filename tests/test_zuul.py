@@ -335,18 +335,22 @@ def test_run_live_end_to_end_and_idempotent(ray_session, tmp_path):
         sink_dir = os.path.basename(os.path.dirname(f))[len("sink="):]
         assert set(_pq.read_table(f, columns=["sink_name"])[
             "sink_name"].to_pylist()) == {sink_dir}, f
-    # the tick wrote the same metrics manifest as a batch run, so
-    # --live --monitoring-port exports it
+    # the per-build manifests are the tick's only record, as in a batch
+    # run, so --live --monitoring-port folds them
+    from ci_log_processing_ray.state.monitoring import Monitoring
+
     per_sink1 = {}
     for (s, _), c in total1.items():
         per_sink1[s] = per_sink1.get(s, 0) + c
-    metrics_files = _glob.glob(os.path.join(out, "metrics", "batch-*.json"))
-    assert len(metrics_files) == 1
-    with open(metrics_files[0]) as f:
-        metrics = json.load(f)
-    assert metrics["n_partitions"] == 2
-    assert metrics["total_docs"] == sum(total1.values())
-    assert metrics["per_sink"] == per_sink1
+    assert not os.path.exists(os.path.join(out, "metrics"))
+    mon = Monitoring(out)
+    assert mon.refresh_from_dir() == 2
+    body = mon.render().splitlines()
+    assert "cilog_partitions_total 2" in body
+    assert "cilog_batches_total 1" in body
+    assert f"cilog_docs_total {sum(total1.values())}" in body
+    for s, c in per_sink1.items():
+        assert f'cilog_docs_per_sink_total{{sink="{s}"}} {c}' in body
 
     # second run: anti-join vs committed manifests -> nothing pending,
     # cumulative per-sink counts unchanged
