@@ -9,11 +9,12 @@ Layout
 ------
 - ``functions/``  vectorized scalar kernels (detokenize, timestamp grok,
   message split, severity extract, perf-JSON flatten, subunit normalize)
-- ``stages/``     Dataset stage builders (parse, enrich with per-worker
-  state, route, grok, quarantine)
+- ``stages/``     per-block Arrow functions (parse, enrich with
+  per-worker state, route, grok) and quarantine
 - ``sources/``    corpus readers + the deterministic synthetic generator
 - ``pipelines/``  end-to-end pipeline assembly (flagship batch, live,
-  follow) sharing one write-and-commit tail, plus compaction and export
+  follow) sharing one block function and one write-and-commit tail,
+  plus compaction and export
 - ``state/``      per-partition lineage manifests (checkpoint/resume)
 - ``ops/``        large-scale training-data operators (dedup, similarity
   search, text analysis, multimodal plumbing)

@@ -1,1 +1,1 @@
-from .flagship import build_routed, run_pipeline, RunResult  # noqa: F401
+from .flagship import build_tick, run_pipeline, RunResult  # noqa: F401

@@ -4,21 +4,21 @@ The Ray-Data-native equivalent of logscraper+logsender end to end
 (SURVEY.md section 3 "Rebuild lifecycle"):
 
     1. plan: anti-join pending input files vs committed manifests (J4/ST1)
-    2. ds = read_parquet(pending, include_paths=True)          [source]
-    3. parse (stateless map_batches over whole Arrow blocks)   [M1-M8, 2.9]
-    4. enrich (broadcast build_meta + file config)             [J1/J2]
-    5. route (sink column = dated index name)                  [S12/S13]
-    6. write per-sink partitioned Parquet into a staged batch
-       dir; the writer's per-(partition, sink, severity) count
-       partials are its only output (A2)
+    2. read the pending files, one Arrow block per file        [source]
+    3-6. ONE block function (``make_block_fn``) per Arrow block:
+       partition id -> parse [M1-M8, 2.9] -> enrich (broadcast
+       build_meta + file config) [J1/J2] -> route (sink = dated index
+       name) [S12/S13] -> per-sink Parquet write into a staged batch
+       dir; its per-(partition, sink, severity) count partials are
+       the block's only output (A2)
     7. rename each partition into place, then commit its
        lineage manifest (idempotent commit)
     8. nothing more: the partition manifests (with the batch digest)
        are the run's only record; ``/metrics`` folds them  [ST5/A1]
 
-Steps 3-5 (``route_rows``) and 6-8 (``write_and_commit``) are shared
-with the live pipeline (pipelines/live.py), which differs only in its
-source and its build-uuid partition ids.
+The block function (3-6) and the tail (``write_and_commit``, 7-8) are
+shared with the live pipeline (pipelines/live.py), which differs only in
+its source and its build-uuid partition ids.
 """
 
 from __future__ import annotations
@@ -28,99 +28,35 @@ import json
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
+from ray.data.datasource import FileBasedDatasource
 
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
 from ..sources.readers import load_build_meta
-from ..stages.enrich import apply_enrich
-from ..stages.parse import apply_parse
-from ..stages.route import apply_route
+from ..stages.enrich import make_enrich_fn
+from ..stages.parse import _split_doc_id, make_parse_fn
+from ..stages.route import make_route_fn
 from ..state.manifest import Manifest, ManifestStore, partition_id, pending_inputs
-
-
-def _attach_partition_ids(ds: ray.data.Dataset,
-                          paths: Sequence[str]) -> ray.data.Dataset:
-    """Replace the per-row 'path' string with a compact int32 partition id."""
-    lut = {p: i for i, p in enumerate(paths)}
-
-    def to_pid(batch: pa.Table) -> pa.Table:
-        enc = batch["path"].combine_chunks().dictionary_encode()
-        mapped = np.array([lut[p] for p in enc.dictionary.to_pylist()],
-                          dtype=np.int32)
-        pid = pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)])
-        batch = batch.drop_columns("path")
-        return batch.append_column("_partition", pid)
-
-    return ds.map_batches(to_pid, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
-
-
-def route_rows(
-    ds: ray.data.Dataset,
-    meta: pa.Table,
-    cfg: PipelineConfig,
-    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
-) -> ray.data.Dataset:
-    """parse -> enrich -> route over a token-sequence Dataset that
-    already carries its ``_partition`` column."""
-    ds = apply_parse(ds, cfg)
-    ds = apply_enrich(ds, meta, file_config)
-    ds = apply_route(ds, cfg)
-    # duplicate the sink as a data column: "sink" is the directory key
-    # at write time (stripped from the files), "sink_name" stays in the
-    # data so a reader of the files alone still sees each row's sink.
-    return ds.map_batches(
-        lambda t: t.append_column("sink_name", t["sink"]),
-        batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-
-def build_routed(
-    input_paths: Sequence[str],
-    meta: pa.Table,
-    cfg: PipelineConfig,
-    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
-) -> ray.data.Dataset:
-    """Assemble the lazy routed Dataset (no execution happens here).
-
-    One read task per input parquet file (``override_num_blocks``):
-    Ray then never splits a file into arbitrary row ranges, so parse
-    blocks stay row-group-aligned -- the layout contract of the
-    batch-local carry-forward (a finer override_num_blocks makes Ray
-    split blocks MID-FILE at row granularity).  At corpus scale the
-    file count (not intra-file splitting) supplies the read
-    parallelism; skew is handled at the LAYOUT level, the corpus writer
-    spreading a hot build's files across shards.
-
-    Every stage keeps Ray's default CPU request, so the read fuses
-    with the whole map chain (and the writer) into ONE task operator:
-    a separate ReadParquet operator ships the whole decoded corpus
-    (~1 GB at sf0.1) through the object store between read and parse
-    (measured 2.97 s -> 2.30 s at sf0.1/32 CPUs once fused).
-    """
-    paths = list(input_paths)
-    # LPT order: feed the read LARGEST FILE FIRST so a hot build's
-    # 3-4x-mean task starts in wave 1 instead of anchoring the final
-    # wave (classic longest-processing-time makespan fix; partition
-    # ids key on the PATH, so output layout and manifests are
-    # byte-identical).
-    read_order = sorted(paths, key=os.path.getsize, reverse=True)
-    ds = ray.data.read_parquet(
-        read_order, include_paths=True, override_num_blocks=len(paths))
-    ds = _attach_partition_ids(ds, paths)
-    return route_rows(ds, meta, cfg, file_config)
 
 
 @dataclass
 class RunResult:
+    """What one tick did.
+
+    ``counts`` has two shapes: when partitions were pending it is this
+    tick's (sink, severity, doc_count, tok_sum); on an idle tick it is
+    (sink, doc_count), the per-sink totals over all manifests.
+    """
     routed_dir: Optional[str]
-    counts: pa.Table  # (sink, severity, doc_count, tok_sum)
+    counts: pa.Table
     manifests: list[Manifest]
     n_pending: int
     n_skipped: int
@@ -153,7 +89,8 @@ def make_fanout_writer(staging_dir: str,
     ``pid_names`` maps the per-run ``_partition`` index to a STABLE
     partition id: the per-partition directory is then replaceable
     wholesale when that partition is reprocessed after a partial
-    failure, so the routed tree never accumulates duplicate rows.
+    failure, so the routed tree never accumulates duplicate rows.  The
+    index itself is not written: a re-run numbers its pending set anew.
     """
 
     def write_one_partition(t: pa.Table, part_dir: str) -> None:
@@ -177,7 +114,8 @@ def make_fanout_writer(staging_dir: str,
         # single partition; group anyway so mixed batches stay correct
         part_enc = t["_partition"].combine_chunks().dictionary_encode()
         for j, pid in enumerate(part_enc.dictionary.to_pylist()):
-            sub = t.filter(pc.equal(part_enc.indices, j))
+            sub = t.filter(pc.equal(part_enc.indices, j)).drop_columns(
+                "_partition")
             name = pid_names[pid] if pid_names is not None else f"{pid:05d}"
             write_one_partition(sub, os.path.join(staging_dir, f"part-{name}"))
         g = pa.table({
@@ -198,13 +136,144 @@ def make_fanout_writer(staging_dir: str,
     return write_and_count
 
 
-def fanout_write(routed: ray.data.Dataset, staging_dir: str,
-                 pid_names: Sequence[str] | None = None) -> ray.data.Dataset:
-    """The lazy writer stage; its output rows are the count partials.
-    It keeps Ray's default CPU request so it fuses with the read."""
-    return routed.map_batches(
-        make_fanout_writer(staging_dir, pid_names), batch_format="pyarrow",
-        batch_size=None, zero_copy_batch=True)
+def _partition_codes(keys: pa.Array, lut: dict[str, int]) -> pa.Array:
+    """Each row's int32 partition index ``lut[key]``: one dictionary
+    encode, then one gather through the per-distinct-key table."""
+    enc = keys.dictionary_encode()
+    mapped = np.array([lut[k] for k in enc.dictionary.to_pylist()],
+                      dtype=np.int32)
+    return pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)])
+
+
+def _path_key(t: pa.Table) -> tuple[pa.Table, pa.Array]:
+    """A batch tick's partition key: the input path the read attached."""
+    return t.drop_columns("path"), t["path"].combine_chunks()
+
+
+def make_block_fn(
+    cfg: PipelineConfig,
+    meta: pa.Table,
+    file_config: tuple[FileConfigEntry, ...],
+    staging_dir: str,
+    keys: Sequence[str],
+    pid_names: Sequence[str],
+    key_of: Callable[[pa.Table], tuple[pa.Table, pa.Array]] = _path_key,
+):
+    """A tick's whole per-block transform as ONE Arrow function:
+    partition id -> parse -> enrich -> route -> fan-out write.  Its
+    output rows are the writer's count partials.
+
+    ``key_of(t)`` splits a source block into its rows and each row's
+    partition key; ``_partition`` is that key's index in ``keys``, and
+    the writer stores partition i under ``pid_names[i]``.  ``meta`` is
+    broadcast once as an object ref; each worker process builds its
+    enrich state from it on first use.
+    """
+    lut = {k: i for i, k in enumerate(keys)}
+    parse = make_parse_fn(cfg)
+    enrich = make_enrich_fn(ray.put(meta), file_config)
+    route = make_route_fn(cfg)
+    write = make_fanout_writer(staging_dir, pid_names)
+
+    def process_block(t: pa.Table) -> pa.Table:
+        t, key = key_of(t)
+        t = t.append_column("_partition", _partition_codes(key, lut))
+        t = route(enrich(parse(t)))
+        # "sink" is the directory key at write time (stripped from the
+        # files); "sink_name" keeps each row's sink in the data
+        return write(t.append_column("sink_name", t["sink"]))
+
+    return process_block
+
+
+def _add_file_key(t: pa.Table) -> pa.Table:
+    build, fname, line_no = _split_doc_id(t)
+    return t.append_column(
+        "_file", pc.binary_join_element_wise(build, fname, "/")
+    ).append_column("_line", line_no)
+
+
+def _in_file_order(t: pa.Table) -> pa.Table:
+    order = pc.sort_indices(t, sort_keys=[("_file", "ascending"),
+                                          ("_line", "ascending")])
+    return t.take(order).drop_columns(["_file", "_line"])
+
+
+class _WholeFileParquet(FileBasedDatasource):
+    """A Parquet source whose read task emits ONE block per file.
+
+    Ray's own Parquet read emits a block per row group, and a map fused
+    with the read is called once per block: the block function would
+    then pay its per-call costs (and write one file per sink) once per
+    row group instead of once per file.
+    """
+
+    _FILE_EXTENSIONS = ["parquet"]
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def _open_input_source(self, filesystem, path: str, **open_args):
+        return filesystem.open_input_file(path, **open_args)
+
+    def _read_stream(self, f, path: str):
+        yield pq.read_table(f, use_threads=False)
+
+
+def build_tick(
+    input_paths: Sequence[str],
+    meta: pa.Table,
+    cfg: PipelineConfig,
+    staging_dir: str,
+    file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
+) -> ray.data.Dataset:
+    """The lazy plan of one batch tick (nothing runs here): the read,
+    then the block function, whose output rows are the count partials
+    of the files it writes under ``staging_dir``.
+
+    One read task and one block per input file (``_WholeFileParquet``,
+    ``override_num_blocks`` = file count): Ray then never splits a file
+    into arbitrary row ranges -- the layout contract of the batch-local
+    carry-forward (a finer override_num_blocks makes Ray split blocks
+    MID-FILE at row granularity).  At corpus scale the
+    file count (not intra-file splitting) supplies the read
+    parallelism; skew is handled at the LAYOUT level, the corpus writer
+    spreading a hot build's files across shards.
+
+    fill_mode="batch" maps the block function over the read: the block
+    keeps Ray's default CPU request, so the read fuses with it into ONE
+    task operator (a separate ReadParquet operator ships the whole
+    decoded corpus through the object store; measured 2.97 s -> 2.30 s
+    at sf0.1/32 CPUs once fused).  fill_mode="grouped" restores the
+    parse layout contract for any layout: one bucketed exchange on the
+    (build/filename) file key lands each file whole in one bucket, and
+    the bucket kernel is the block function over the bucket sorted by
+    (file, line_no).
+    """
+    paths = list(input_paths)
+    # LPT order: feed the read LARGEST FILE FIRST so a hot build's
+    # 3-4x-mean task starts in wave 1 instead of anchoring the final
+    # wave (classic longest-processing-time makespan fix; partition
+    # ids key on the PATH, so output layout and manifests are
+    # byte-identical).
+    read_order = sorted(paths, key=os.path.getsize, reverse=True)
+    ds = ray.data.read_datasource(
+        _WholeFileParquet(read_order, include_paths=True),
+        override_num_blocks=len(paths))
+    block = make_block_fn(cfg, meta, file_config, staging_dir, paths,
+                          [partition_id(p) for p in paths])
+    if cfg.fill_mode == "batch":
+        return ds.map_batches(block, batch_format="pyarrow",
+                              batch_size=None, zero_copy_batch=True)
+    if cfg.fill_mode != "grouped":
+        raise ValueError(cfg.fill_mode)
+    from ..ops.window import bucketed_groups
+
+    keyed = ds.map_batches(_add_file_key, batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return bucketed_groups(keyed, "_file",
+                           lambda t: block(_in_file_order(t)),
+                           kernel_format="pyarrow")
 
 
 _PARTIAL_KEYS = ["_partition", "sink", "severity"]
@@ -255,7 +324,7 @@ def summarize_partials(
 
 
 def write_and_commit(
-    routed: ray.data.Dataset,
+    plan: Callable[[str], ray.data.Dataset],
     out_dir: str,
     store: ManifestStore,
     pid_names: Sequence[str],
@@ -268,12 +337,14 @@ def write_and_commit(
     per-partition rename -> manifest commit.  The manifests, each
     carrying the batch digest, are the tick's only record.
 
-    ``routed`` rows carry ``_partition`` = i for the partition whose
-    stable id is ``pid_names[i]`` and whose lineage input is
-    ``input_paths[i]``.  Idempotent AND duplicate-free across partial
-    failures: a reprocessed partition's directory is replaced wholesale
-    before its manifest commits, so the routed tree never holds two
-    copies of one partition's rows.  Manifests commit only after the
+    ``plan(staging_dir)`` is the tick's lazy Dataset of count partials
+    from the block function writing under ``staging_dir``; partial
+    ``_partition`` = i is the partition whose stable id is
+    ``pid_names[i]`` and whose lineage input is ``input_paths[i]``.
+    Idempotent AND duplicate-free across partial failures: a
+    reprocessed partition's directory is replaced wholesale before its
+    manifest commits, so the routed tree never holds two copies of one
+    partition's rows.  Manifests commit only after the
     partition dir is renamed into place -- the reference's
     commit-after-pool ordering (logscraper.py:724-729) made
     exactly-once by determinism.  One writer per out dir: whatever is
@@ -283,16 +354,15 @@ def write_and_commit(
     digest = hashlib.sha256(
         "\n".join(sorted(input_paths)).encode()).hexdigest()[:16]
     routed_root = os.path.join(out_dir, "routed")
-    staging_root = os.path.join(out_dir, ".staging")
-    staging_dir = os.path.join(staging_root, f"batch-{digest}")
-    shutil.rmtree(staging_root, ignore_errors=True)
+    staging_dir = os.path.join(out_dir, ".staging", f"batch-{digest}")
+    _clear_staging(out_dir)
     os.makedirs(staging_dir)
     os.makedirs(routed_root, exist_ok=True)
     # single streaming pass: per-sink fan-out write + count partials out
     # iter_batches, not to_arrow_refs: the latter fetches the schema by
     # running the whole chain again on one block (Dataset.limit(1))
-    blocks = [t for t in fanout_write(routed, staging_dir, pid_names)
-              .iter_batches(batch_format="pyarrow", batch_size=None) if len(t)]
+    blocks = [t for t in plan(staging_dir).iter_batches(
+        batch_format="pyarrow", batch_size=None) if len(t)]
     partials = (pa.concat_tables(blocks) if blocks
                 else _PARTIAL_SCHEMA.empty_table())
     summaries, counts = summarize_partials(partials, len(pid_names))
@@ -322,7 +392,7 @@ def write_and_commit(
         )
         store.commit(m)
         manifests.append(m)
-    shutil.rmtree(staging_root, ignore_errors=True)
+    _clear_staging(out_dir)
 
     return RunResult(routed_root, counts, manifests, len(pid_names),
                      n_skipped)
@@ -350,19 +420,28 @@ def run_pipeline(
     paths = sorted(input_paths)
     pending = pending_inputs(paths, store) if resume else paths
     if not pending:
-        return RunResult(None, _counts_from_manifests(store), [], 0, len(paths))
+        return idle_result(out_dir, store, len(paths))
     return write_and_commit(
-        build_routed(pending, meta, cfg, file_config), out_dir, store,
-        [partition_id(p) for p in pending], pending,
+        lambda staging: build_tick(pending, meta, cfg, staging, file_config),
+        out_dir, store, [partition_id(p) for p in pending], pending,
         clock_now=clock_now, n_skipped=len(paths) - len(pending))
 
 
-def _counts_from_manifests(store: ManifestStore) -> pa.Table:
+def _clear_staging(out_dir: str) -> None:
+    shutil.rmtree(os.path.join(out_dir, ".staging"), ignore_errors=True)
+
+
+def idle_result(out_dir: str, store: ManifestStore,
+                n_skipped: int) -> RunResult:
+    """The result of a tick with nothing pending: per-sink totals over
+    all manifests.  It also clears ``<out>/.staging``, which a crash
+    after a tick's last manifest commit leaves behind."""
+    _clear_staging(out_dir)
     rows: dict[str, int] = {}
     for m in store.all():
         for sink, c in m.per_sink_counts.items():
             rows[sink] = rows.get(sink, 0) + c
-    return pa.table({
+    return RunResult(None, pa.table({
         "sink": list(rows.keys()),
         "doc_count": list(rows.values()),
-    })
+    }), [], 0, n_skipped)

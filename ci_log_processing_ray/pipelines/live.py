@@ -8,8 +8,9 @@ pipeline tick:
           against committed manifests (S5/J4)
   cluster: per-build file downloads incl. .gz twins (S3, actor pool)
            + inventory fetch -> build_meta (S4/M12)
-           -> parse -> enrich -> route -> per-sink fan-out write with
-           conformance count partials (S12/A2)
+           -> the batch pipeline's block function: parse -> enrich
+           -> route -> per-sink fan-out write with conformance count
+           partials (S12/A2)
   driver: per-BUILD manifest commit after the partition rename, then
           nothing else: the batch pipeline's own ``write_and_commit``
           tail with the build uuid as the partition key, so a crashed
@@ -42,12 +43,7 @@ from ..sources.zuul import (
     read_zuul_builds,
     zuul_complete_param,
 )
-from .flagship import (
-    RunResult,
-    _counts_from_manifests,
-    route_rows,
-    write_and_commit,
-)
+from .flagship import RunResult, idle_result, make_block_fn, write_and_commit
 
 
 def _build_pid(uuid: str) -> str:
@@ -55,6 +51,12 @@ def _build_pid(uuid: str) -> str:
     pipeline's path-keyed ids)."""
     digest = hashlib.sha256(uuid.encode()).hexdigest()[:16]
     return f"build-{uuid}-{digest}"
+
+
+def _uuid_key(t: pa.Table) -> tuple[pa.Table, pa.Array]:
+    """A live tick's partition key: the build uuid prefix of doc_id."""
+    return t, pc.struct_field(pc.extract_regex(
+        t["doc_id"].combine_chunks(), pattern=r"^(?P<u>[^/]+)/"), "u")
 
 
 class _StoreSeen:
@@ -102,32 +104,21 @@ def run_live(
             get_json, zuul_url, max_builds, seen, job,
             complete_param=complete))
     if not builds:
-        return RunResult(None, _counts_from_manifests(store), [],
-                         0, len(store.committed_ids()))
+        return idle_result(out_dir, store, len(store.committed_ids()))
 
     uuids = [str(b["uuid"]) for b in builds]
     pid_names = [_build_pid(u) for u in uuids]
-    lut = {u: i for i, u in enumerate(uuids)}
-
     meta = fetch_build_meta(builds, fetcher_factory)
     rows = read_zuul_builds(builds, fetcher_factory,
                             file_config=file_config,
                             concurrency=fetch_concurrency)
 
-    def add_pid(t: pa.Table) -> pa.Table:
-        import numpy as np
+    def plan(staging_dir: str):
+        block = make_block_fn(cfg, meta, file_config, staging_dir, uuids,
+                              pid_names, key_of=_uuid_key)
+        return rows.map_batches(block, batch_format="pyarrow",
+                                batch_size=None, zero_copy_batch=True)
 
-        pre = pc.struct_field(
-            pc.extract_regex(t["doc_id"].combine_chunks(),
-                             pattern=r"^(?P<u>[^/]+)/"), "u")
-        enc = pre.dictionary_encode()
-        mapped = np.array([lut[u] for u in enc.dictionary.to_pylist()],
-                          dtype=np.int32)
-        pid = pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)])
-        return t.append_column("_partition", pid)
-
-    ds = rows.map_batches(add_pid, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
     return write_and_commit(
-        route_rows(ds, meta, cfg, file_config), out_dir, store, pid_names,
-        [f"zuul://{u}" for u in uuids], clock_now=clock_now)
+        plan, out_dir, store, pid_names, [f"zuul://{u}" for u in uuids],
+        clock_now=clock_now)

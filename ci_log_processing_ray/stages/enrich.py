@@ -26,7 +26,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
 
 from ..config import FileConfigEntry
 
@@ -112,7 +111,8 @@ class EnrichStage:
 # per-worker-process cache of built EnrichStage state, keyed by the
 # broadcast object ref: tasks get actor-like amortization (the dict and
 # file-config compile happen once per worker, not once per batch)
-# without paying actor-pool startup (fresh processes + imports) per run.
+# without paying actor-pool startup (fresh processes + imports) per run;
+# an actor pool would also cap the read fused before it at pool size.
 _TASK_STATE: dict[str, EnrichStage] = {}
 
 
@@ -128,22 +128,3 @@ def make_enrich_fn(meta_ref, file_config: tuple[FileConfigEntry, ...]):
         return state(batch)
 
     return enrich
-
-
-def apply_enrich(
-    ds: ray.data.Dataset,
-    meta: pa.Table,
-    file_config: tuple[FileConfigEntry, ...],
-) -> ray.data.Dataset:
-    """Attach the enrich stage: stateless tasks over the broadcast
-    metadata ref with per-worker state caching.  They fuse with
-    read+parse into one task operator at full cluster width and reuse
-    Ray's warm worker pool (an actor pool would cold-start its
-    processes per run, and upstream task stages would fuse INTO it,
-    capping read parallelism at pool size)."""
-    return ds.map_batches(
-        make_enrich_fn(ray.put(meta), file_config),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-    )

@@ -21,9 +21,10 @@ must not need the earlier rows' scan state.  The parse raises
 100 TB path) parses whole blocks where they lie: the contract holds when
 the upstream writer emits parquet row groups that do not split files (our
 corpus writer emits one row group per build) and each file is one read
-task.  fill_mode="grouped" restores the contract for any layout: one
-bucketed exchange on the (build/filename) file key and a (file, line_no)
-sort per bucket, then the same parse.
+task.  fill_mode="grouped" (``pipelines/flagship.build_tick``) restores
+the contract for any layout: one bucketed exchange on the
+(build/filename) file key and a (file, line_no) sort per bucket, then the
+same parse.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from datetime import datetime
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray.data
 
 from ..config import (
     LOGLINE_SOURCES,
@@ -495,39 +494,3 @@ def make_parse_fn(cfg: PipelineConfig):
         return pa.concat_tables(pieces)
 
     return parse
-
-
-def apply_parse(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
-    """Attach the parse stage to a token-sequence Dataset.
-
-    Both fill modes run the same ``make_parse_fn(cfg)`` over blocks that
-    meet the layout contract (module docstring).  "batch" parses whole
-    blocks (``batch_size=None``) where they lie: zero shuffle.
-    "grouped" first restores the contract for any layout: it routes
-    every row through one bucketed exchange on its (build/filename)
-    file key, so each file lands whole in one bucket, and sorts each
-    bucket by (file, line_no) before parsing it.
-    """
-    parse = make_parse_fn(cfg)
-    if cfg.fill_mode == "batch":
-        return ds.map_batches(parse, batch_format="pyarrow", batch_size=None,
-                              zero_copy_batch=True)
-    if cfg.fill_mode != "grouped":
-        raise ValueError(cfg.fill_mode)
-    from ..ops.window import bucketed_groups
-
-    def add_file_key(t: pa.Table) -> pa.Table:
-        build, fname, line_no = _split_doc_id(t)
-        return t.append_column(
-            "_file", pc.binary_join_element_wise(build, fname, "/")
-        ).append_column("_line", line_no)
-
-    def parse_bucket(t: pa.Table) -> pa.Table:
-        order = pc.sort_indices(t, sort_keys=[("_file", "ascending"),
-                                              ("_line", "ascending")])
-        return parse(t.take(order).drop_columns(["_file", "_line"]))
-
-    keyed = ds.map_batches(add_file_key, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return bucketed_groups(keyed, "_file", parse_bucket,
-                           kernel_format="pyarrow")

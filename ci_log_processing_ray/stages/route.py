@@ -17,8 +17,6 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 from ..config import PipelineConfig
 
 
@@ -41,9 +39,3 @@ def make_route_fn(cfg: PipelineConfig):
         return batch.append_column("sink", sink)
 
     return route
-
-
-def apply_route(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
-    return ds.map_batches(
-        make_route_fn(cfg), batch_format="pyarrow", batch_size=None,
-        zero_copy_batch=True)

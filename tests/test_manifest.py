@@ -17,6 +17,7 @@ import pyarrow as pa
 
 from ci_log_processing_ray.pipelines.flagship import (
     _PARTIAL_SCHEMA,
+    make_fanout_writer,
     summarize_partials,
     write_and_commit,
 )
@@ -176,7 +177,10 @@ def test_write_and_commit_on_an_empty_dataset(ray_session, tmp_path):
     }))
     out = str(tmp_path / "out")
     store = ManifestStore(os.path.join(out, "manifests"))
-    res = write_and_commit(routed, out, store, ["a", "b"], ["/in/a", "/in/b"])
+    res = write_and_commit(
+        lambda staging: routed.map_batches(
+            make_fanout_writer(staging, ["a", "b"]), batch_format="pyarrow"),
+        out, store, ["a", "b"], ["/in/a", "/in/b"])
 
     assert [(m.partition_id, m.row_count, m.per_sink_counts, m.token_checksum)
             for m in store.all()] == [

@@ -3,14 +3,22 @@ reference oracle on the synthetic corpus (north-rule gates: per-sink
 count equality, routed-row set equality, token-array equality)."""
 
 import collections
+import glob
+import os
+import tempfile
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import read_routed
 
 from ci_log_processing_ray import reference_impl as ref
 from ci_log_processing_ray.config import DEFAULT_FILE_CONFIG, PipelineConfig
-from ci_log_processing_ray.pipelines.flagship import build_routed, run_pipeline
+from ci_log_processing_ray.pipelines.flagship import (
+    build_tick,
+    make_block_fn,
+    run_pipeline,
+)
 from ci_log_processing_ray.sources.readers import load_build_meta
 
 CFG = PipelineConfig(skip_debug=True)
@@ -23,11 +31,14 @@ def expected(corpus_dir):
     return table, ref.expected_routed_rows(table, CFG)
 
 
-def _routed_rows(ray_session, corpus_dir, cfg):
+def _routed_rows(ray_session, corpus_dir, cfg, paths=None):
+    """The rows ``run_pipeline`` writes for ``paths`` (default: the
+    corpus's one token-sequence file)."""
     _, info = corpus_dir
-    meta = load_build_meta(info["paths"]["build_meta"])
-    return build_routed([info["paths"]["token_sequences"]], meta,
-                        cfg).take_all()
+    with tempfile.TemporaryDirectory() as out:
+        res = run_pipeline(paths or [info["paths"]["token_sequences"]],
+                           info["paths"]["build_meta"], out, cfg)
+        return read_routed(res.routed_dir)
 
 
 def test_routed_row_set_equality(ray_session, corpus_dir, expected):
@@ -173,26 +184,20 @@ def test_follow_mode_ticks(ray_session, corpus_dir, tmp_path):
 
 
 def test_fanout_writer_idempotent(ray_session, corpus_dir, tmp_path):
-    """Task-retry semantics: running the SAME block through the fan-out
-    writer twice must produce the same files (overwritten, not
-    duplicated) and identical count partials -- exactly-once counts."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ci_log_processing_ray.pipelines.flagship import make_fanout_writer
-    from ci_log_processing_ray.sources.readers import load_build_meta
-    from ci_log_processing_ray.pipelines.flagship import build_routed
-
+    """Task-retry semantics: running the SAME block through the block
+    function (and so the fan-out writer) twice must produce the same
+    files (overwritten, not duplicated) and identical count partials
+    -- exactly-once counts."""
     _, info = corpus_dir
     meta = load_build_meta(info["paths"]["build_meta"])
-    routed = build_routed([info["paths"]["token_sequences"]], meta, CFG)
-    block = pa.concat_tables(
-        list(routed.iter_batches(batch_format="pyarrow")))
+    path = info["paths"]["token_sequences"]
+    table = pq.read_table(path)
+    block = table.append_column("path", pa.array([path] * len(table)))
 
     staging = str(tmp_path / "stage")
     os.makedirs(staging)
-    writer = make_fanout_writer(staging)
+    writer = make_block_fn(CFG, meta, DEFAULT_FILE_CONFIG, staging, [path],
+                           ["p"])
     p1 = writer(block)
 
     def listing():
@@ -271,11 +276,9 @@ def test_grouped_fill_exact_on_scrambled_layout(ray_session, corpus_dir,
     perm = np.random.default_rng(31).permutation(len(table))
     shard_paths = _write_shards(table.take(pa.array(perm)), tmp_path,
                                 "scram", 4)
-    _, info = corpus_dir
-    meta = load_build_meta(info["paths"]["build_meta"])
     cfg = PipelineConfig(skip_debug=True, fill_mode="grouped")
 
-    got = build_routed(shard_paths, meta, cfg).take_all()
+    got = _routed_rows(ray_session, corpus_dir, cfg, shard_paths)
     got_key = sorted((r["doc_id"], r["sink"], r["ts"], r["severity"],
                       r["message"]) for r in got)
     want_key = sorted((r["doc_id"], r["sink"], r["ts"], r["severity"],
@@ -287,9 +290,9 @@ def test_grouped_fill_exact_on_scrambled_layout(ray_session, corpus_dir,
         return sorted(tuple(r[c] for c in cols + _GROK_COLS) for r in rows)
 
     batch = _routed_rows(ray_session, corpus_dir, LOGSTASH_CFG)
-    grouped = build_routed(
-        shard_paths, meta,
-        dataclasses.replace(LOGSTASH_CFG, fill_mode="grouped")).take_all()
+    grouped = _routed_rows(
+        ray_session, corpus_dir,
+        dataclasses.replace(LOGSTASH_CFG, fill_mode="grouped"), shard_paths)
     # binding: the join folds events and grok fills its columns here
     assert len(batch) < len(_routed_rows(
         ray_session, corpus_dir, PipelineConfig()))
@@ -309,12 +312,10 @@ def test_batch_layout_guard_on_interleaved_files(ray_session, corpus_dir,
                    key=lambda i: (int(ids[i].rsplit("/", 1)[1]), ids[i]))
     paths = _write_shards(table.take(pa.array(order)), tmp_path,
                           "interleaved", 2)
-    _, info = corpus_dir
-    meta = load_build_meta(info["paths"]["build_meta"])
     with pytest.raises(Exception, match="fill_mode='grouped'"):
-        build_routed(paths, meta, CFG).take_all()
-    got = build_routed(paths, meta, PipelineConfig(
-        skip_debug=True, fill_mode="grouped")).take_all()
+        _routed_rows(ray_session, corpus_dir, CFG, paths)
+    got = _routed_rows(ray_session, corpus_dir, PipelineConfig(
+        skip_debug=True, fill_mode="grouped"), paths)
     key = ("doc_id", "sink", "severity", "ts", "message")
     assert sorted(tuple(r[k] for k in key) for r in got) == \
         sorted(tuple(r[k] for k in key) for r in want)
@@ -380,23 +381,27 @@ def test_partial_failure_resume(ray_session, corpus_dir, tmp_path):
 
 
 def test_flagship_plan_fuses_read(ray_session, corpus_dir, tmp_path):
-    """The read must fuse into the map chain AND the fan-out writer
-    (no stage sets a CPU request of its own): a separate ReadParquet
-    operator re-ships the whole decoded corpus through the object store
-    (measured 2.97 -> 2.30 s at sf0.1/32 when fusion landed).  Guard the
-    plan shape, not timings."""
-    from ci_log_processing_ray.pipelines.flagship import fanout_write
-
+    """The batch tick plan is the read plus ONE map, the block function
+    (parse -> enrich -> route -> fan-out write), fused into one operator
+    because the block keeps Ray's default CPU request.  A separate
+    ReadParquet operator would re-ship the whole decoded corpus through
+    the object store (measured 2.97 -> 2.30 s at sf0.1/32 when fusion
+    landed).  Guard the plan shape, not timings."""
     _, info = corpus_dir
     meta = load_build_meta(info["paths"]["build_meta"])
-    ds = fanout_write(
-        build_routed([info["paths"]["token_sequences"]], meta, CFG),
-        str(tmp_path)).materialize()
+    ds = build_tick([info["paths"]["token_sequences"]], meta, CFG,
+                    str(tmp_path)).materialize()
     ops = [line.split(":")[0].split(" ", 2)[-1]
            for line in ds.stats().splitlines()
            if line.startswith("Operator")]
     read_ops = [o for o in ops if "ReadParquet" in o]
-    assert read_ops and all("write_and_count" in o for o in read_ops), ops
+    assert read_ops == ["ReadParquet->MapBatches(process_block)"], ops
+    assert sum(o.count("MapBatches") for o in ops) == 1, ops
+    # the block function runs once per input FILE, not once per row
+    # group: each partition writes one file per sink
+    assert pq.read_metadata(info["paths"]["token_sequences"]).num_row_groups > 1
+    sink_dirs = glob.glob(str(tmp_path / "part-*" / "sink=*"))
+    assert sink_dirs and all(len(os.listdir(d)) == 1 for d in sink_dirs)
 
 
 def test_drop_debug_severity_matches_reference(ray_session, corpus_dir):

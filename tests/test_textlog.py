@@ -195,13 +195,24 @@ def test_read_log_files_gz_equivalence(ray_session, build_root):
     assert json.loads(sub_rows[0]["line"])["test_name"] == "pkg.TestA.test_one"
 
 
-def test_textlog_through_parse_and_route(ray_session, build_root):
-    from ci_log_processing_ray.stages.parse import apply_parse
-    from ci_log_processing_ray.stages.route import apply_route
+def test_textlog_through_parse_and_route(ray_session, build_root, tmp_path):
+    """Raw text rows through the flagship block function: the rows it
+    writes carry parsed fields under their routed sinks."""
+    import pyarrow as pa
+    from conftest import read_routed
+
+    from ci_log_processing_ray.config import DEFAULT_FILE_CONFIG
+    from ci_log_processing_ray.pipelines.flagship import make_block_fn
+    from ci_log_processing_ray.sources.synth import BUILD_META_SCHEMA
 
     cfg = PipelineConfig()
-    ds = read_log_files(build_root)
-    out = apply_route(apply_parse(ds, cfg), cfg).take_all()
+    rows = pa.concat_tables(read_log_files(build_root).iter_batches(
+        batch_format="pyarrow", batch_size=None))
+    rows = rows.append_column("path", pa.array(["logs"] * len(rows)))
+    staging = str(tmp_path / "staging")
+    make_block_fn(cfg, BUILD_META_SCHEMA.empty_table(), DEFAULT_FILE_CONFIG,
+                  staging, ["logs"], ["p"])(rows)
+    out = read_routed(staging)
     sinks = {r["sink"] for r in out}
     assert sinks == {cfg.index_name(), cfg.perf_index_name(),
                      cfg.subunit_index_name()}
