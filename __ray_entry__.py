@@ -8159,8 +8159,7 @@ def q_compact_sink(sf_dir: str):
 
     frag = _fragmented_events_dir(sf_dir)
     out_dir = frag + "-compact"
-    stats = compact_routed(frag, out_dir)
-    return stats[["sink", "n_rows"]].reset_index(drop=True)
+    return compact_routed(frag, out_dir).select(["sink", "n_rows"])
 
 
 def q_rolling_active(sf_dir: str):

@@ -144,11 +144,9 @@ def main(argv: list[str] | None = None) -> int:
             stats = compact_routed(args.compact_dir, args.out,
                                    target_bytes=args.target_bytes)
             print(json.dumps({
-                "sinks": stats.to_dict(orient="records"),
-                "n_files_in": int(stats["n_files_in"].sum()),
-                "n_files_out": int(stats["n_files_out"].sum()),
-                "n_rows": int(stats["n_rows"].sum()),
-                "n_skipped": int(stats["n_skipped"].sum()),
+                "sinks": stats.to_pylist(),
+                **{c: sum(stats[c].to_pylist()) for c in stats.column_names
+                   if c != "sink"},
             }))
             return 0
 

@@ -36,7 +36,6 @@ import datetime
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -93,35 +92,37 @@ PATTERNS: list[tuple[str, str, str]] = [
 
 # The logstash date block (openstack-filters.conf:86-102) accepts 13
 # Joda formats on the grok-extracted ``logdate``; re-expressed as
-# (strptime fmt | "ISO8601", named-group grammar, has_tz).  Joda token
-# widths are exact (SSS = three digits, Z = [+-]HHMM with HH < 24 and
-# MM < 60); whitespace runs (RE2 \s) stand for each format space, so
-# "MMM  d" and "MMM dd" share one row.  Order preserved from the conf.
+# (named-group grammar, year-1900 patch) with the Joda/strptime format
+# as a comment.  Joda token widths are exact (SSS = three digits,
+# Z = [+-]HHMM with HH < 24 and MM < 60); whitespace runs (RE2 \s)
+# stand for each format space, so "MMM  d" and "MMM dd" share one row.
+# Order preserved from the conf.
 _LS = r"\s+"
-_TZ = r"(?P<zs>[+-])(?P<zh>[01]\d|2[0-3])(?P<zm>[0-5]\d)"
+_ZH = r"(?P<zs>[+-])(?P<zh>[01]\d|2[0-3])"
+_TZ = rf"{_ZH}(?P<zm>[0-5]\d)"
 _YMD_HMS = f"{_Y}-{_MO}-{_D}{_LS}{_HMS}"
-LOGSTASH_DATE_FORMATS: list[tuple[str, str | None, bool]] = [
-    ("%Y-%m-%d %H:%M:%S.%f",                                # .SSS
-     rf"^{_YMD_HMS}\.(?P<f>\d{{3}})$", False),
-    ("%Y-%m-%d %H:%M:%S.%f",                                # .SSSSSS
-     rf"^{_YMD_HMS}\.(?P<f>\d{{6}})$", False),
-    ("%Y-%m-%d %H:%M:%S,%f",                                # ,SSS
-     rf"^{_YMD_HMS},(?P<f>\d{{3}})$", False),
-    ("%Y-%m-%d %H:%M:%S",
-     rf"^{_YMD_HMS}$", False),
-    ("%b %d %H:%M:%S",                                      # MMM [ d|dd]
-     rf"^{_B3}{_LS}{_D}{_LS}{_HMS}$", False),
-    ("%b %d %H:%M:%S.%f",                                   # MMM dd ... .SSSSSS
-     rf"^{_B3}{_LS}{_D}{_LS}{_HMS}\.(?P<f>\d{{6}})$", False),
-    ("%d/%b/%Y:%H:%M:%S %z",                                # dd/MMM/yyyy:HH:mm:ss Z
-     rf"^{_D}/{_B3}/{_Y}:{_HMS}{_LS}{_TZ}$", True),
-    ("%Y-%m-%d %H:%M:%S.%f%z",                              # .SSSZ
-     rf"^{_YMD_HMS}\.(?P<f>\d{{3}}){_TZ}$", True),
-    ("%a %b %d %H:%M:%S %Y %z",                             # E MMM dd ... yyyy Z
-     rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}{_LS}{_TZ}$", True),
-    ("%a %b %d %H:%M:%S %Y",                                # E MMM dd ... yyyy
-     rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}$", False),
-    ("ISO8601", None, True),                                # catch-all
+# ISO8601 as pandas reads it: YYYY[-MM[-DD[(T|ws)HH[:MM[:SS[.fraction]]]
+# [ws][Z|±HH[[:]MM]][ws]]]] after optional whitespace; fraction digits
+# past the sixth are dropped.
+_ISO_TIME = rf"{_H}(?::{_M}(?::{_S}(?:\.(?P<f>\d{{1,6}})\d*)?)?)?"
+_ISO_ZONE = rf"(?:Z|{_ZH}(?::?(?P<zm>[0-5]\d))?)?"
+_ISO = (rf"^\s*{_Y}(?:-{_MO}(?:-{_D}"
+        rf"(?:(?:T|{_LS}){_ISO_TIME}\s*{_ISO_ZONE}\s*)?)?)?$")
+LOGSTASH_DATE_FORMATS: list[tuple[str, bool]] = [
+    (rf"^{_YMD_HMS}\.(?P<f>\d{{3}})$", True),           # yyyy-MM-dd HH:mm:ss.SSS
+    (rf"^{_YMD_HMS}\.(?P<f>\d{{6}})$", True),           # ... .SSSSSS
+    (rf"^{_YMD_HMS},(?P<f>\d{{3}})$", True),            # ... ,SSS
+    (rf"^{_YMD_HMS}$", True),                           # yyyy-MM-dd HH:mm:ss
+    (rf"^{_B3}{_LS}{_D}{_LS}{_HMS}$", True),            # MMM [ d|dd] HH:mm:ss
+    (rf"^{_B3}{_LS}{_D}{_LS}{_HMS}\.(?P<f>\d{{6}})$",
+     True),                                             # MMM dd HH:mm:ss.SSSSSS
+    (rf"^{_D}/{_B3}/{_Y}:{_HMS}{_LS}{_TZ}$", False),    # dd/MMM/yyyy:HH:mm:ss Z
+    (rf"^{_YMD_HMS}\.(?P<f>\d{{3}}){_TZ}$", False),     # yyyy-MM-dd HH:mm:ss.SSSZ
+    (rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}{_LS}{_TZ}$",
+     False),                                            # E MMM dd HH:mm:ss yyyy Z
+    (rf"^{_A3}{_LS}{_B3}{_LS}{_D}{_LS}{_HMS}{_LS}{_Y}$",
+     True),                                             # E MMM dd HH:mm:ss yyyy
+    (_ISO, False),                                      # ISO8601 catch-all
 ]
 
 _ABBR = pa.array([m[:3] for m in _MONTHS])
@@ -145,27 +146,33 @@ def _days_from_civil(y: np.ndarray, m: np.ndarray, d: np.ndarray) -> np.ndarray:
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
-def _assemble(fields: pa.StructArray, today_year: int | None
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(fields: pa.StructArray, today_year: int | None,
+              blanks: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Named-group captures -> (µs since the epoch, valid).
 
     A missing Y is 1900, as in CPython; when ``today_year`` is given,
-    year 1900 becomes ``today_year`` after the day-in-month check."""
+    year 1900 becomes ``today_year`` after the day-in-month check.
+    With ``blanks``, a group that took no part in the match (extracted
+    as "") is absent too: month and day 1, other fields 0, no offset."""
     col = dict(zip((f.name for f in fields.type), fields.flatten()))
 
-    def num(name: str, default: int = 0) -> np.ndarray | int:
+    def num(name: str, absent: int = 0) -> np.ndarray | int:
         if name not in col:
-            return default
-        return pc.cast(col[name], pa.int64()).to_numpy()
+            return absent
+        c = col[name]
+        if blanks:
+            c = pc.utf8_lpad(c, 1, str(absent))
+        return pc.cast(c, pa.int64()).to_numpy()
 
     def month(name: str, table: pa.Array) -> np.ndarray:
         idx = pc.index_in(pc.utf8_lower(col[name]), value_set=table)
         return pc.fill_null(idx, -1).to_numpy().astype(np.int64) + 1
 
-    y = np.broadcast_to(num("Y", 1900), len(fields))
-    m = (num("m") if "m" in col else month("b", _ABBR) if "b" in col
+    y = (pc.cast(col["Y"], pa.int64()).to_numpy() if "Y" in col
+         else np.full(len(fields), 1900))
+    m = (num("m", 1) if "m" in col else month("b", _ABBR) if "b" in col
          else month("B", _FULL))
-    d = num("d")
+    d = num("d", 1)
     frac = (pc.cast(pc.utf8_rpad(col["f"], 6, "0"), pa.int64()).to_numpy()
             if "f" in col else 0)
     leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
@@ -188,7 +195,9 @@ def _parse_fields(cap: pa.Array, grammar: str, today_year: int | None,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``cap`` that fully match ``grammar`` (and ``only``) ->
     (hit mask, µs).  A group-free copy of the grammar runs first as a
-    DFA prefilter; the named-group extract runs on its matches only."""
+    DFA prefilter; the named-group extract runs on its matches only.
+    Only a grammar with an optional part (``)?``) can leave a group
+    blank, so only such a grammar pays for reading blanks as absent."""
     ok = pc.fill_null(pc.match_substring_regex(
         cap, pattern=_GROUP.sub("(?:", grammar)), False)
     ok = ok.to_numpy(zero_copy_only=False)
@@ -197,36 +206,11 @@ def _parse_fields(cap: pa.Array, grammar: str, today_year: int | None,
     us = np.zeros(len(cap), dtype=np.int64)
     if len(idx):
         sub_us, valid = _assemble(
-            pc.extract_regex(cap.take(idx), pattern=grammar), today_year)
+            pc.extract_regex(cap.take(idx), pattern=grammar), today_year,
+            blanks=")?" in grammar)
         hit[idx] = valid
         us[idx] = sub_us
     return hit, us
-
-
-def _parse_iso8601(cur: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Logstash's ISO8601 catch-all via pandas -> (hit mask, µs UTC).
-
-    pandas 2.2 ``to_datetime(format="ISO8601", utc=True)`` applies the
-    last UTC offset it parsed to later elements that carry none, so
-    rows with and without a trailing offset go through separate calls.
-    A date-only row that looks offset-bearing (``2024-03-05`` ends in
-    ``-05``) is parsed as a date either way."""
-    cur = pc.replace_substring_regex(cur, pattern=r"\s+", replacement=" ")
-    zoned = pc.fill_null(pc.match_substring_regex(
-        cur, pattern=r"(?i)(?:z|[+-]\d\d(?::?\d\d)?) ?$"), False)
-    zoned = zoned.to_numpy(zero_copy_only=False)
-    got = np.zeros(len(cur), dtype=bool)
-    us = np.zeros(len(cur), dtype=np.int64)
-    for part in (zoned, ~zoned):
-        idx = np.flatnonzero(part)
-        if len(idx) == 0:
-            continue
-        parsed = pd.to_datetime(cur.take(idx).to_pandas().astype(object),
-                                format="ISO8601", errors="coerce",
-                                utc=True).dt.tz_localize(None)
-        got[idx] = parsed.notna().to_numpy()
-        us[idx] = parsed.to_numpy().astype("datetime64[us]").view(np.int64)
-    return got, us
 
 
 def normalize_logdate(
@@ -242,8 +226,8 @@ def normalize_logdate(
 
     Same progressive narrowing and field kernel as
     :func:`extract_timestamps`; the grammars stand in for Joda's
-    exact-width tokens.  Only the ISO8601 catch-all goes through pandas,
-    on the rows every other format rejected."""
+    exact-width tokens, and the ISO8601 catch-all is one more grammar
+    row, tried on the rows every other format rejected."""
     if isinstance(logdate, pa.ChunkedArray):
         logdate = logdate.combine_chunks()
     n = len(logdate)
@@ -251,14 +235,11 @@ def normalize_logdate(
     hit = np.zeros(n, dtype=bool)
     pending_idx = np.arange(n)
     cur = logdate
-    for fmt, grammar, has_tz in LOGSTASH_DATE_FORMATS:
+    for grammar, patch_year in LOGSTASH_DATE_FORMATS:
         if len(pending_idx) == 0:
             break
-        if fmt == "ISO8601":
-            got, got_us = _parse_iso8601(cur)
-        else:
-            got, got_us = _parse_fields(
-                cur, grammar, None if has_tz else today_year)
+        got, got_us = _parse_fields(
+            cur, grammar, today_year if patch_year else None)
         if got.any():
             us[pending_idx[got]] = got_us[got]
             hit[pending_idx[got]] = True

@@ -9,11 +9,12 @@ Plan shape: one driver-side walk collects (sink, path, bytes) -- file
 METADATA only, never data; files bin per sink with first-fit-decreasing
 up to ``target_bytes``; each bin becomes one independent Ray task that
 reads only its own members and writes one output via tmp + atomic
-rename.  Output names are deterministic (md5 of the member list), so a
-re-run skips every finished bin (reading only parquet footers for the
-row counts) and a crash mid-run redoes only unfinished bins.  At 100 TB
-run it per sink partition (e.g. per day) so the walk and the bin list
-stay bounded.
+rename; the per-bin stats ride Arrow blocks and fold with one Arrow
+``group_by``.  Output names are deterministic (md5 of the member
+list), so a re-run skips every finished bin (reading only parquet
+footers for the row counts) and a crash mid-run redoes only
+unfinished bins.  At 100 TB run it per sink partition (e.g. per day)
+so the walk and the bin list stay bounded.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import hashlib
 import os
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -85,52 +84,49 @@ def compact_routed(
     out_dir: str,
     *,
     target_bytes: int = 128 << 20,
-) -> pd.DataFrame:
+) -> pa.Table:
     """Compact every sink's files under ``routed_dir`` into
     ``out_dir/sink=<name>/part-<binhash>.parquet``.  Idempotent:
     finished bins are skipped on re-run (row counts re-read from the
     existing output's footer so the stats stay exact).  Returns one
-    row per sink: n_files_in, n_files_out, n_rows, n_skipped."""
+    int64 row per sink: n_files_in, n_files_out, n_rows, n_skipped."""
     files = _walk_sink_files(routed_dir)
     bins = plan_bins(files, target_bytes, rel_to=routed_dir)
-    if not bins:
-        return pd.DataFrame({"sink": pd.Series([], dtype=object),
-                             "n_files_in": pd.Series([], dtype=np.int64),
-                             "n_files_out": pd.Series([], dtype=np.int64),
-                             "n_rows": pd.Series([], dtype=np.int64),
-                             "n_skipped": pd.Series([], dtype=np.int64)})
 
-    def run_bin(batch: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for _, b in batch.iterrows():
-            sink, members, bin_id = b["sink"], b["files"], b["bin_id"]
-            sink_dir = os.path.join(out_dir, f"sink={sink}")
-            dest = os.path.join(sink_dir, f"part-{bin_id}.parquet")
-            if os.path.exists(dest):
-                n = pq.read_metadata(dest).num_rows
-                rows.append((sink, len(members), n, 1))
-                continue
+    def run_bin(batch: pa.Table) -> pa.Table:
+        sink, members, bin_id = (batch[c][0].as_py()
+                                 for c in ("sink", "files", "bin_id"))
+        sink_dir = os.path.join(out_dir, f"sink={sink}")
+        dest = os.path.join(sink_dir, f"part-{bin_id}.parquet")
+        if os.path.exists(dest):
+            n, skipped = pq.read_metadata(dest).num_rows, 1
+        else:
             os.makedirs(sink_dir, exist_ok=True)
             t = pa.concat_tables([pq.read_table(f) for f in members],
                                  promote_options="default")
             tmp = dest + f".tmp.{os.getpid()}"
             pq.write_table(t, tmp)
             os.replace(tmp, dest)
-            rows.append((sink, len(members), len(t), 0))
-        return pd.DataFrame(rows, columns=["sink", "n_files_in",
-                                           "n_rows", "n_skipped"])
+            n, skipped = len(t), 0
+        return pa.table({"sink": [sink], "n_files_in": [len(members)],
+                         "n_rows": [n], "n_skipped": [skipped]})
 
-    stats = (ray.data.from_items([
-        {"sink": b["sink"], "files": b["files"], "bin_id": b["bin_id"]}
-        for b in bins])
-        .map_batches(run_bin, batch_format="pandas", batch_size=1)
-        .to_pandas())
-    agg = stats.groupby("sink", as_index=False).agg(
-        n_files_in=("n_files_in", "sum"), n_rows=("n_rows", "sum"),
-        n_skipped=("n_skipped", "sum"))
-    n_out = stats.groupby("sink").size().rename("n_files_out")
-    agg = agg.merge(n_out, on="sink")
-    for c in ["n_files_in", "n_files_out", "n_rows", "n_skipped"]:
-        agg[c] = agg[c].astype(np.int64)
-    return agg[["sink", "n_files_in", "n_files_out", "n_rows",
-                "n_skipped"]]
+    stats = pa.table({"sink": pa.array([], pa.string()),
+                      **{c: pa.array([], pa.int64()) for c in
+                         ("n_files_in", "n_rows", "n_skipped")}})
+    if bins:
+        stats = pa.concat_tables(ray.data.from_items([
+            {"sink": b["sink"], "files": b["files"], "bin_id": b["bin_id"]}
+            for b in bins])
+            .map_batches(run_bin, batch_format="pyarrow", batch_size=1)
+            .iter_batches(batch_format="pyarrow", batch_size=None))
+    agg = stats.group_by("sink").aggregate(
+        [("n_files_in", "sum"), ("n_files_in", "count"), ("n_rows", "sum"),
+         ("n_skipped", "sum")])
+    return pa.table({
+        "sink": agg["sink"],
+        "n_files_in": agg["n_files_in_sum"],
+        "n_files_out": agg["n_files_in_count"],
+        "n_rows": agg["n_rows_sum"],
+        "n_skipped": agg["n_skipped_sum"],
+    }).sort_by("sink")

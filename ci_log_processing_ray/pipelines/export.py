@@ -48,7 +48,6 @@ import shutil
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -83,8 +82,17 @@ def _table_digest(tab: pa.Table) -> str:
 def _fingerprint_partial(v: np.ndarray) -> tuple[int, int]:
     """Order-insensitive (lo, hi) checksum partials of a sort-column
     batch: 64-bit value hashes split into 32-bit halves so the int64
-    numpy sums cannot wrap; the caller folds in Python ints."""
-    h = pd.util.hash_array(np.ascontiguousarray(v))
+    numpy sums cannot wrap; the caller folds in Python ints.  The hash
+    is the splitmix64 finalizer over the values' unsigned bits, the
+    one ``pd.util.hash_array`` applies to numeric arrays, so a
+    ``_cuts.json`` checksum written by an earlier version still
+    matches."""
+    h = np.ascontiguousarray(v).view(f"u{v.dtype.itemsize}").astype(np.uint64)
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(0x94D049BB133111EB)
+    h ^= h >> np.uint64(31)
     lo = int((h & np.uint64(0xFFFFFFFF)).astype(np.int64).sum())
     hi = int((h >> np.uint64(32)).astype(np.int64).sum())
     return lo, hi
@@ -172,14 +180,17 @@ def sorted_export(
             "fp_hi": pa.array([0] * len(out_rid) + [fp_hi], pa.int64()),
         })
 
-    routed = ds.map_batches(route, batch_format="pyarrow",
-                            zero_copy_batch=True).to_pandas()
-    total_rows = int(routed.loc[routed["rid"] == -1, "n"].sum())
-    fp = 0
-    for lo, hi in zip(routed.loc[routed["rid"] == -1, "fp_lo"],
-                      routed.loc[routed["rid"] == -1, "fp_hi"]):
-        fp = (fp + int(lo) + (int(hi) << 32)) % _FP_MOD
-    per_range = routed[routed["rid"] >= 0].groupby("rid")["n"].sum()
+    total_rows, fp, per_range = 0, 0, {}
+    for t in ds.map_batches(route, batch_format="pyarrow",
+                            zero_copy_batch=True).iter_batches(
+                                batch_format="pyarrow", batch_size=None):
+        for rid, n, lo, hi in zip(*(t[c].to_pylist() for c in
+                                    ("rid", "n", "fp_lo", "fp_hi"))):
+            if rid < 0:
+                total_rows += n
+                fp = (fp + lo + (hi << 32)) % _FP_MOD
+            else:
+                per_range[rid] = per_range.get(rid, 0) + n
 
     if persisted is not None:
         if (persisted["rows"], persisted["checksum"]) != (total_rows, fp):
@@ -227,7 +238,7 @@ def sorted_export(
     results = ray.get([finalize.remote(i) for i in pending])
     rows = 0
     for i, n, lo, hi in results:
-        routed_n = int(per_range.get(i, 0))
+        routed_n = per_range.get(i, 0)
         if n != routed_n:
             raise AssertionError(
                 f"sorted_export: range {i} finalized {n} rows but the "

@@ -22,9 +22,10 @@ here as vectorized Arrow kernels:
   view of the lines.
 * ``join_runs`` -- segment-local join over rows in (file, line) order;
   ``multiline_join`` runs it per bucket behind one bucketed exchange
-  for arbitrary layouts.  The parse stage's join
-  (``stages/parse.py:_join_multiline``) calls ``join_events`` too and
-  follows the same layout contract as its timestamp carry-forward.
+  for arbitrary layouts, on Arrow blocks end to end.  The parse
+  stage's join (``stages/parse.py:_join_multiline``) calls
+  ``join_events`` too and follows the same layout contract as its
+  timestamp carry-forward.
 * ``extract_grok_fields`` -- per-family RE2 re-expressions of the grok
   patterns (the regexes are the parse SPEC restated, not copied code;
   grok's Oniguruma ``(?m)`` means dot-matches-newline, hence ``(?s)``
@@ -34,7 +35,6 @@ here as vectorized Arrow kernels:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -135,22 +135,23 @@ def join_events(lines: pa.Array, starts: np.ndarray) -> pa.Array:
 
 
 def join_runs(file_ids: np.ndarray, anchors: np.ndarray,
-              lines: pa.Array | list[str]) -> pd.DataFrame:
+              lines: pa.Array | list[str]) -> pa.Table:
     """Segment-local multiline join over rows already in (file, line)
     order with files contiguous.  Event starts at an anchor OR at the
     first row of its file (logstash's what=previous: a leading
-    continuation run becomes its own event)."""
+    continuation run becomes its own event).  Returns
+    (file_id, line_idx, n_lines, message), one row per event."""
     if not isinstance(lines, pa.Array):
         lines = pa.array(lines, type=pa.string())
     new_file = np.empty(len(lines), dtype=bool)
     new_file[:1] = True
     new_file[1:] = file_ids[1:] != file_ids[:-1]
     starts = np.flatnonzero(anchors | new_file)
-    return pd.DataFrame({
+    return pa.table({
         "file_id": file_ids[starts],
         "line_idx": starts.astype(np.int64),
         "n_lines": np.diff(starts, append=len(lines)).astype(np.int64),
-        "message": join_events(lines, starts).to_numpy(zero_copy_only=False),
+        "message": join_events(lines, starts),
     })
 
 
@@ -164,25 +165,28 @@ def multiline_join(
 ) -> ray.data.Dataset:
     """Distributed multiline join for ARBITRARY layouts: one bucketed
     exchange on hash(file) (``ops/window.py:bucketed_groups``), a
-    per-bucket sort by (file, order), then the segment-local vectorized
-    join.  Partitioning assumption: one file's lines fit in one bucket.
-    Returns (file_id, anchor_ord, n_lines, message)."""
+    stable per-bucket sort by (file, order), then the segment-local
+    vectorized join, all on Arrow blocks.  Partitioning assumption: one
+    file's lines fit in one bucket.  Returns (file_id, anchor_ord,
+    n_lines, message)."""
     from ..ops.window import bucketed_groups
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([file_col, order_col], kind="mergesort")
-        lines = pa.array(g[line_col], type=pa.string())
-        fids = g[file_col].to_numpy()
-        out = join_runs(fids, anchor_mask(lines, family), lines)
-        ords = g[order_col].to_numpy()
-        return pd.DataFrame({
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(file_col, "ascending"), (order_col, "ascending")]))
+        lines = t[line_col].combine_chunks()
+        out = join_runs(
+            t[file_col].combine_chunks().to_numpy(zero_copy_only=False),
+            anchor_mask(lines, family), lines)
+        return pa.table({
             "file_id": out["file_id"],
-            "anchor_ord": ords[out["line_idx"].to_numpy()],
+            "anchor_ord": t[order_col].take(out["line_idx"]),
             "n_lines": out["n_lines"],
             "message": out["message"],
         })
 
-    return bucketed_groups(ds, file_col, per_bucket)
+    return bucketed_groups(ds, file_col, per_bucket,
+                           kernel_format="pyarrow")
 
 
 def extract_grok_fields(

@@ -187,3 +187,25 @@ def test_bench_list_and_coverage_complete():
     cov = (root / "COVERAGE.md").read_text()
     unmapped = [q for q in sorted(qs) if f"q:{q}" not in cov]
     assert not unmapped, unmapped
+
+
+def test_log_path_imports_no_pandas():
+    """The log path (stages, functions, pipelines, state, sources) runs
+    on Arrow and numpy alone.  An AST scan of its sources, not
+    sys.modules: ray.data imports pandas itself."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / \
+        "ci_log_processing_ray"
+    found = []
+    for sub in ("stages", "functions", "pipelines", "state", "sources"):
+        for path in sorted((pkg / sub).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names]
+                         if isinstance(node, ast.Import) else
+                         [node.module or ""]
+                         if isinstance(node, ast.ImportFrom) else [])
+                if any(n.split(".")[0] == "pandas" for n in names):
+                    found.append(f"{sub}/{path.name}:{node.lineno}")
+    assert not found, found

@@ -200,6 +200,9 @@ def test_normalize_logdate_all_13_formats():
         # every year datetime holds, not only datetime64[ns]'s 1677-2262
         ("2500-03-05 12:00:00", dt.datetime(2500, 3, 5, 12, 0, 0)),
         ("15/Mar/1500:12:00:00 +0000", dt.datetime(1500, 3, 15, 12, 0)),
+        ("2300-01-01T00:00:00Z", dt.datetime(2300, 1, 1)),
+        ("1650-01-01T00:00:00", dt.datetime(1650, 1, 1)),
+        ("9999-12-31T23:59:59.999999+0000", dt.datetime.max),
         ("01/Jan/0001:00:00:00 +0100", None),  # before datetime.min in UTC
     ]
     out = normalize_logdate(
@@ -209,13 +212,21 @@ def test_normalize_logdate_all_13_formats():
 
 
 def test_normalize_logdate_iso8601_offset_stays_on_its_row():
-    """pandas 2.2's ISO8601 parser applies the last UTC offset it saw to
-    later rows that carry none; each row must parse as if alone."""
+    """Each ISO8601 row parses as if alone: a UTC offset, whole or in a
+    row that fails (trailing junk, a zone with seconds), never shifts a
+    later row that carries none."""
     import datetime as dt
 
     from ci_log_processing_ray.functions.timestamps import normalize_logdate
 
-    got = normalize_logdate(pa.array(
-        ["2024-03-05T12:00:00+02:00", "2000-10-06 10:06:34.0811"]), 2024)
-    assert got.to_pylist() == [dt.datetime(2024, 3, 5, 10, 0),
-                               dt.datetime(2000, 10, 6, 10, 6, 34, 81100)]
+    for texts, want in (
+        (["2024-03-05T12:00:00+02:00", "2000-10-06 10:06:34.0811"],
+         [dt.datetime(2024, 3, 5, 10, 0),
+          dt.datetime(2000, 10, 6, 10, 6, 34, 81100)]),
+        (["2024-03-05T12:00:00+02:00 junk", "2000-10-06 10:06:34.0811"],
+         [None, dt.datetime(2000, 10, 6, 10, 6, 34, 81100)]),
+        (["2021-07-09T13:45:27+05:30:00", "2020-02-29T00:00"],
+         [None, dt.datetime(2020, 2, 29)]),
+    ):
+        got = normalize_logdate(pa.array(texts), 2024)
+        assert got.to_pylist() == want, texts

@@ -62,7 +62,8 @@ def test_join_runs_traceback_is_one_doc():
         out = join_runs(np.array(["f"] * len(lines)), anchors, lines)
         assert len(out) == want_events
         want = ref.multiline_events(lines, family)
-        assert list(zip(out["line_idx"], out["message"])) == want
+        assert list(zip(out["line_idx"].to_pylist(),
+                        out["message"].to_pylist())) == want
 
 
 def test_join_runs_leading_continuation_run():
@@ -70,10 +71,10 @@ def test_join_runs_leading_continuation_run():
     lines = ["cont A", "cont B", "2022-03-25 17:40:38.000000 | anchored"]
     anchors = anchor_mask(pa.array(lines), "console")
     out = join_runs(np.array(["f"] * 3), anchors, lines)
-    assert out["message"].tolist() == [
+    assert out["message"].to_pylist() == [
         "cont A\ncont B", "2022-03-25 17:40:38.000000 | anchored"]
     assert ref.multiline_events(lines, "console") == list(
-        zip(out["line_idx"], out["message"]))
+        zip(out["line_idx"].to_pylist(), out["message"].to_pylist()))
 
 
 def test_join_runs_matches_simulator_on_synth_lines():
@@ -83,7 +84,8 @@ def test_join_runs_matches_simulator_on_synth_lines():
         want = ref.multiline_events(lines, family)
         anchors = anchor_mask(pa.array(lines), family)
         got = join_runs(np.array(["f"] * len(lines)), anchors, lines)
-        assert list(zip(got["line_idx"], got["message"])) == want
+        assert list(zip(got["line_idx"].to_pylist(),
+                        got["message"].to_pylist())) == want
 
 
 def test_join_runs_file_boundary_resets():
@@ -92,8 +94,8 @@ def test_join_runs_file_boundary_resets():
     fids = np.array(["f1", "f1", "f2", "f2"])
     anchors = anchor_mask(pa.array(lines), "console")
     out = join_runs(fids, anchors, lines)
-    assert out["file_id"].tolist() == ["f1", "f2"]
-    assert out["message"].tolist() == [
+    assert out["file_id"].to_pylist() == ["f1", "f2"]
+    assert out["message"].to_pylist() == [
         "2022-03-25 17:40:37.000000 | a\ncont", "cont\ncont"]
 
 

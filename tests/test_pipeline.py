@@ -444,31 +444,36 @@ def test_compact_routed_layout_and_idempotency(ray_session, tmp_path):
             pq.write_table(t, d / "part-0.parquet")
             rows_per_sink[sink] = rows_per_sink.get(sink, 0) + n
 
+    def by_sink(stats: pa.Table) -> dict:
+        return {r["sink"]: r for r in stats.to_pylist()}
+
     out = tmp_path / "compact"
-    s1 = compact_routed(str(routed), str(out),
-                        target_bytes=1 << 30).set_index("sink")
+    t1 = compact_routed(str(routed), str(out), target_bytes=1 << 30)
+    assert t1.schema == pa.schema(
+        [("sink", pa.string())] + [(c, pa.int64()) for c in (
+            "n_files_in", "n_files_out", "n_rows", "n_skipped")])
+    s1 = by_sink(t1)
     for sink in ["a", "b"]:
-        assert int(s1.loc[sink, "n_rows"]) == rows_per_sink[sink]
-        assert int(s1.loc[sink, "n_files_in"]) == 6
-        assert int(s1.loc[sink, "n_files_out"]) == 1
-        assert int(s1.loc[sink, "n_skipped"]) == 0
+        assert s1[sink]["n_rows"] == rows_per_sink[sink]
+        assert s1[sink]["n_files_in"] == 6
+        assert s1[sink]["n_files_out"] == 1
+        assert s1[sink]["n_skipped"] == 0
         files = list((out / f"sink={sink}").glob("*.parquet"))
         assert len(files) == 1
         assert pq.read_metadata(files[0]).num_rows == rows_per_sink[sink]
 
     # re-run: every bin already exists -> all skipped, stats identical
-    s2 = compact_routed(str(routed), str(out),
-                        target_bytes=1 << 30).set_index("sink")
-    assert (s2["n_skipped"] == s2.index.map(
-        lambda s: 1)).all()
-    assert s2["n_rows"].equals(s1["n_rows"])
+    s2 = by_sink(compact_routed(str(routed), str(out),
+                                target_bytes=1 << 30))
+    assert all(r["n_skipped"] == 1 for r in s2.values())
+    assert ({k: r["n_rows"] for k, r in s2.items()}
+            == {k: r["n_rows"] for k, r in s1.items()})
 
     # tiny target: every input file lands in its own bin
     out2 = tmp_path / "compact2"
-    s3 = compact_routed(str(routed), str(out2),
-                        target_bytes=1).set_index("sink")
-    assert int(s3.loc["a", "n_files_out"]) == 6
-    assert int(s3.loc["a", "n_rows"]) == rows_per_sink["a"]
+    s3 = by_sink(compact_routed(str(routed), str(out2), target_bytes=1))
+    assert s3["a"]["n_files_out"] == 6
+    assert s3["a"]["n_rows"] == rows_per_sink["a"]
 
 
 def test_cli_compact_mode(corpus_dir, tmp_path):
@@ -564,6 +569,25 @@ def test_sorted_export_global_order_and_resume(ray_session, tmp_path):
     assert sum(pq.ParquetFile(f).metadata.num_rows
                for f in sorted(_glob.glob(out + "/range-*.parquet"))) \
         == 20_000
+
+
+def test_fingerprint_partial_equals_pandas_hash_array():
+    """The export checksum stays the one earlier versions persisted in
+    ``_cuts.json`` (pandas' ``hash_array`` over the sort column, the
+    reference here), so an export they left unfinished still resumes."""
+    import numpy as np
+    import pandas as pd
+
+    from ci_log_processing_ray.pipelines.export import _fingerprint_partial
+
+    info = np.iinfo(np.int64)
+    v = np.random.default_rng(12).integers(
+        info.min, info.max, size=100_000, dtype=np.int64, endpoint=True)
+    v[:4] = [0, -1, info.min, info.max]
+    h = pd.util.hash_array(v)
+    assert _fingerprint_partial(v) == (
+        int((h & np.uint64(0xFFFFFFFF)).astype(np.int64).sum()),
+        int((h >> np.uint64(32)).astype(np.int64).sum()))
 
 
 def test_sorted_export_persisted_cuts_and_input_guard(ray_session,

@@ -239,6 +239,8 @@ iso_st = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(iso_st, min_size=1, max_size=12))
 @example(["2024-03-05T12:00:00+02:00", "2000-10-06 10:06:34.0811"])
+@example(["2024-03-05T12:00:00+02:00 junk", "2000-10-06 10:06:34.0811"])
+@example(["2021-07-09T13:45:27+05:30:00", "2020-02-29T00:00"])
 def test_logdate_batch_equals_rows(texts):
     """``normalize_logdate`` of a batch equals its per-row calls: no
     row's result depends on its neighbours (the ISO8601 catch-all once
@@ -249,3 +251,65 @@ def test_logdate_batch_equals_rows(texts):
     rows = [normalize_logdate(pa.array([t], type=pa.string()), 2024)[0]
             .as_py() for t in texts]
     assert got.to_pylist() == rows, texts
+
+
+_RE2_WS = st.text(" \t\n\f\r", min_size=1, max_size=3)
+
+
+@st.composite
+def iso_rendered(draw):
+    """(text, want): a datetime rendered in one shape the ISO8601 grammar
+    accepts -- YYYY[-MM[-DD[(T|ws)HH[:MM[:SS[.f]]][ws?(Z|±HH[[:]MM])]]]]
+    with one- or two-digit fields and optional outer whitespace -- and
+    the instant it stands for (UTC; None outside datetime's range)."""
+    when = draw(st.datetimes(min_value=datetime.datetime(1, 1, 1)))
+    depth = draw(st.integers(0, 6))  # fields after the year, fraction last
+    names = ["month", "day", "hour", "minute", "second"][:depth]
+    want = datetime.datetime(when.year, 1, 1).replace(
+        **{n: getattr(when, n) for n in names})
+    parts = [draw(st.sampled_from(["", " ", "\t"])), f"{when.year:04d}"]
+    for n, sep in zip(names, ["-", "-", "T|ws", ":", ":"]):
+        v = getattr(when, n)
+        if sep == "T|ws":
+            sep = draw(st.one_of(st.just("T"), _RE2_WS))
+        parts += [sep, f"{v:02d}" if v > 9 or draw(st.booleans())
+                  else str(v)]
+    if depth == 6:
+        k = draw(st.integers(1, 9))
+        frac = f"{when.microsecond:06d}"[:k]
+        parts += [".", frac, "7" * (k - len(frac))]
+        want = want.replace(microsecond=int(frac.ljust(6, "0")))
+    if depth >= 3:
+        zone = draw(st.sampled_from(["", "Z", "hh", "hhmm", "hh:mm"]))
+        if zone:
+            parts.append(draw(st.sampled_from(["", " ", "  ", "\t"])))
+        if zone == "Z":
+            parts.append("Z")
+        elif zone:
+            sign = draw(st.sampled_from(["-", "+"]))
+            zh = draw(st.integers(0, 23))
+            zm = 0 if zone == "hh" else draw(st.integers(0, 59))
+            parts.append(sign + f"{zh:02d}" + {
+                "hh": "", "hhmm": f"{zm:02d}", "hh:mm": f":{zm:02d}"}[zone])
+            shift = datetime.timedelta(hours=zh, minutes=zm)
+            try:
+                want = want + shift if sign == "-" else want - shift
+            except OverflowError:
+                want = None
+        parts.append(draw(st.sampled_from(["", " ", "\t"])))
+    return "".join(parts), want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(iso_rendered(), min_size=1, max_size=12))
+def test_logdate_iso8601_renders_its_instant(items):
+    """Any datetime of years 1-9999, rendered in any shape the ISO8601
+    grammar accepts and batched with and without offsets, parses to the
+    drawn instant.  today_year 1900 makes the year-1900 patch of the
+    fixed zoneless rows an identity, so a shape that an earlier row
+    takes first (``2024-03-05 12:00:00.123``) means the same instant."""
+    from ci_log_processing_ray.functions.timestamps import normalize_logdate
+
+    texts = [t for t, _ in items]
+    got = normalize_logdate(pa.array(texts, type=pa.string()), 1900)
+    assert got.to_pylist() == [w for _, w in items], texts
