@@ -814,6 +814,23 @@ def q_minhash_dedup(sf_dir: str):
     return out
 
 
+def _assert_simhash_domain(sf_dir: str) -> None:
+    """Guard _SIMHASH_ORACLE's domain: a document with no words
+    (null, empty or whitespace-only text) gets a row with hash 0 from
+    the engine, but the SQL oracle's unnest of its empty word list
+    yields no row at all, so the two would disagree on that row
+    instead of failing loudly.  Raises BEFORE running the op."""
+    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                         columns=["doc_id", "text"]).to_pydict()
+    empty = [d for d, t in zip(docs["doc_id"], docs["text"])
+             if not (t or "").split()]
+    if empty:
+        raise AssertionError(
+            f"simhash: {len(empty)} documents have no words (first "
+            f"doc_id {empty[0]}) -- the oracle drops them while the "
+            f"engine emits hash 0")
+
+
 def q_simhash(sf_dir: str):
     """SimHash exact-bucket clusters over the planted-augmented corpus
     (exact copies at +1e6 for doc_id % 50 == 0), with a BINDING
@@ -822,6 +839,7 @@ def q_simhash(sf_dir: str):
     Oracle-checked since r5: the seeded-FNV word hash is
     SQL-reproducible, so _SIMHASH_ORACLE recomputes the raw simhash
     values themselves (not just the bucket structure) in DuckDB."""
+    _assert_simhash_domain(sf_dir)
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = _collect(simhash_clusters(_plant_dup_texts(ds), "text",
                                     "doc_id")).to_pandas()

@@ -1171,10 +1171,14 @@ def _simhash_batch(
     """Whole-batch vectorized simhash: ONE vocabulary-level FNV-1a hash
     pass over the flattened word stream, per-doc bit-vote sums via
     np.add.reduceat, bits packed with a shift-dot -- NO per-document
-    Python at all (Arrow ``utf8_split_whitespace`` replaces the
-    per-doc ``str.split``; identical tokenization incl. unicode
-    whitespace, empties filtered)."""
+    Python at all.  An RE2 split on Python's whitespace class replaces
+    the per-doc ``str.split`` (identical tokenization incl. unicode
+    whitespace, empties filtered); Arrow's ``utf8_split_whitespace``
+    is not used because it sometimes leaves trailing whitespace
+    unsplit, depending on memory state."""
     import pyarrow.compute as pc
+
+    from ci_log_processing_ray.functions.timestamps import _WS_SET
 
     if isinstance(texts, list):
         texts = pa.array(texts, pa.string())
@@ -1182,7 +1186,8 @@ def _simhash_batch(
         texts = texts.combine_chunks()
     n = len(texts)
     out = np.zeros(n, dtype=np.uint64)
-    wl = pc.utf8_split_whitespace(pc.fill_null(texts, ""))
+    wl = pc.split_pattern_regex(pc.fill_null(texts, ""),
+                                pattern=f"[{_WS_SET}]+")
     raw_counts = np.diff(wl.offsets.to_numpy())
     flat0 = wl.flatten()
     keep = pc.not_equal(flat0, "")

@@ -204,10 +204,8 @@ def pagerank_fixedpoint(
 
     Partitioning assumption: the node state (ids, ranks, degrees) must
     be broadcast-sized -- the same contract as the k-means centroids.
-    For graphs whose node state exceeds driver memory, use
-    :func:`pagerank_resident` (sharded rank vector, co-partitioned
-    contribution combine -- bit-identical, measured 1.8x at 20M
-    edges).
+    Graphs whose node state exceeds driver memory would need the rank
+    vector sharded across workers; no such variant exists here.
 
     Returns a Dataset of (node, rank_fp) with rank_fp int64 in units of
     1/scale.
@@ -728,13 +726,10 @@ def bfs_hops(
     re-shuffle.  Frontiers past the broadcast cap fall back to ONE
     tagged-union bucketed co-partition of frontier + edges.  The
     distance table folds through one bucketed min kernel; every
-    exchange is node- or edge-shaped.  :func:`bfs_hops_resident`
-    implements the pre-partition-edges-once variant (measured 2.7x at
-    20M edges); this dataset-native form remains the zero-actor-state
-    baseline it is parity-tested against.  Bidirectional edge tables
-    under ``driver_edge_cap`` rows run the same BFS in one numpy
-    process (per-round folds are pure fixed cost at toy scale);
-    parity pinned by tests/test_ops.py."""
+    exchange is node- or edge-shaped, and no actor holds state.
+    Bidirectional edge tables under ``driver_edge_cap`` rows run the
+    same BFS in one numpy process (per-round folds are pure fixed cost
+    at toy scale); parity pinned by tests/test_ops.py."""
     from ci_log_processing_ray.ops.window import bucketed_groups
 
     ebi = (edges.map_batches(
@@ -999,8 +994,8 @@ def _route_edges_to_shards(edges, src_col, dst_col, shards,
                            n_shards) -> None:
     """Route the BIDIRECTIONAL edge table into resident shard actors
     by hash(u), FROM the read workers: edge rows go worker -> object
-    store -> actor, the driver sees only per-block row counts.  Shared
-    by the resident LPA and BFS."""
+    store -> actor, the driver sees only per-block row counts.  Used
+    by :func:`kcore_resident`."""
 
     def route(t: pa.Table) -> pa.Table:
         u = np.concatenate([
@@ -1022,400 +1017,6 @@ def _route_edges_to_shards(edges, src_col, dst_col, shards,
                       zero_copy_batch=True).count()
 
 
-def label_propagation_resident(
-    edges: ray.data.Dataset,
-    src_col: str,
-    dst_col: str,
-    *,
-    n_rounds: int = 5,
-    n_shards: int | None = None,
-) -> "pd.DataFrame":
-    """Partition-resident LPA (the BSP/Pregel shape): identical
-    semantics to :func:`label_propagation` -- synchronous, most
-    frequent neighbor label, min-label ties -- but the bidirectional
-    edge table is hash(u)-partitioned into stateful actors ONCE and
-    never moves again; each round exchanges only node-shaped vote
-    partials between shards.  This is the "pre-partition edges once"
-    optimization the dataset-native BFS/LPA docstrings name: their
-    per-round cost is re-exchanging the edge table, which dominates
-    when edges >> nodes (votes here are |nodes|-shaped after in-shard
-    (v, label) pre-aggregation).
-
-    Raw actors are justified (not expressible in the Dataset API):
-    the shard's edge arrays and its owned-label table are MUTABLE
-    state reused across rounds.  Driver never holds edges or labels;
-    it moves only object refs.  Cross-shard traffic is n_shards^2
-    refs per round -- fine to a few hundred shards; at thousands,
-    interpose a tree exchange.  Returns the converged (node, label)
-    frame (node-table sized)."""
-
-    @ray.remote
-    class _Shard:
-        def __init__(self, shard_id: int, n_shards: int):
-            self.sid = shard_id
-            self.n = n_shards
-            self._chunks_u = []
-            self._chunks_v = []
-            self.u = self.v = None
-            self.nodes = self.labs = None
-
-        def load(self, u: np.ndarray, v: np.ndarray) -> int:
-            self._chunks_u.append(u)
-            self._chunks_v.append(v)
-            return len(u)
-
-        def finalize(self) -> int:
-            self.u = (np.concatenate(self._chunks_u)
-                      if self._chunks_u else np.array([], np.int64))
-            self.v = (np.concatenate(self._chunks_v)
-                      if self._chunks_v else np.array([], np.int64))
-            self._chunks_u = self._chunks_v = None
-            # owned nodes: every node arrives as u of some edge in its
-            # own hash bucket (edges are bidirectional)
-            self.nodes = np.unique(self.u)
-            self.labs = self.nodes.copy()
-            # sort edges by u once so each round's label gather is a
-            # single searchsorted + take
-            order = np.argsort(self.u, kind="stable")
-            self.u = self.u[order]
-            self.v = self.v[order]
-            self.vbucket = (pd.util.hash_array(self.v)
-                            % self.n).astype(np.int32)
-            return len(self.nodes)
-
-        def compute_votes(self) -> list:
-            """Per target shard: (v, label, count) partials,
-            pre-aggregated in-shard, each ray.put into the object
-            store -- the DRIVER moves only the refs."""
-            lab_of_u = self.labs[np.searchsorted(self.nodes, self.u)]
-            out = []
-            for b in range(self.n):
-                m = self.vbucket == b
-                if not m.any():
-                    out.append(None)
-                    continue
-                df = pd.DataFrame({"node": self.v[m],
-                                   "label": lab_of_u[m]})
-                g = df.groupby(["node", "label"], sort=False,
-                               as_index=False).size()
-                out.append(ray.put(
-                    (g["node"].to_numpy(np.int64),
-                     g["label"].to_numpy(np.int64),
-                     g["size"].to_numpy(np.int64))))
-            return out
-
-        def apply_votes(self, pieces: list) -> int:
-            """Majority (min-tie) update of the owned labels; returns
-            how many changed."""
-            ns, ls, cs = [], [], []
-            for p in pieces:
-                if p is None:
-                    continue
-                # nested ObjectRefs are not auto-resolved: fetch the
-                # piece shard-side, so vote data never visits the driver
-                p = ray.get(p)
-                ns.append(p[0]); ls.append(p[1]); cs.append(p[2])
-            if not ns:
-                return 0
-            df = pd.DataFrame({"node": np.concatenate(ns),
-                               "label": np.concatenate(ls),
-                               "n": np.concatenate(cs)})
-            g = df.groupby(["node", "label"], sort=False,
-                           as_index=False)["n"].sum()
-            g = g.sort_values(["node", "n", "label"],
-                              ascending=[True, False, True],
-                              kind="mergesort")
-            g = g.drop_duplicates("node", keep="first")
-            idx = np.searchsorted(self.nodes, g["node"].to_numpy())
-            new = g["label"].to_numpy(np.int64)
-            changed = int((self.labs[idx] != new).sum())
-            self.labs[idx] = new
-            return changed
-
-        def get_labels(self):
-            return pd.DataFrame({"node": self.nodes,
-                                 "label": self.labs})
-
-    from ci_log_processing_ray.ops.window import resolve_group_buckets
-
-    n_shards = n_shards or max(
-        4, min(64, resolve_group_buckets(None) // 4))
-    shards = [_Shard.remote(i, n_shards) for i in range(n_shards)]
-
-    _route_edges_to_shards(edges, src_col, dst_col, shards, n_shards)
-    ray.get([s.finalize.remote() for s in shards])
-
-    for _r in range(n_rounds):
-        vote_refs = [s.compute_votes.remote() for s in shards]
-        # transpose the n^2 ref matrix: each entry is an ObjectRef (or
-        # None), so the driver handles refs only, never vote rows
-        per_shard_lists = [ray.get(r) for r in vote_refs]
-        applies = []
-        for b in range(n_shards):
-            applies.append(shards[b].apply_votes.remote(
-                [per_shard_lists[s][b] for s in range(n_shards)]))
-        if sum(ray.get(applies)) == 0:
-            break
-    out = pd.concat(ray.get([s.get_labels.remote() for s in shards]),
-                    ignore_index=True)
-    return out.sort_values("node").reset_index(drop=True)
-
-
-def bfs_hops_resident(
-    edges: ray.data.Dataset,
-    src_col: str,
-    dst_col: str,
-    seeds: ray.data.Dataset,
-    *,
-    n_rounds: int,
-    n_shards: int | None = None,
-) -> "pd.DataFrame":
-    """Partition-resident multi-source BFS (same semantics as
-    :func:`bfs_hops`): the bidirectional edge table lands in stateful
-    shard actors once, each round ships only the frontier's UNIQUE
-    neighbor ids per target shard as object refs -- no per-round edge
-    exchange and no edge-table fold.  The distance table lives sharded
-    in the actors; the driver moves refs and change counts only.
-    Returns the reached (node, hops) frame (reached-set sized)."""
-
-    @ray.remote
-    class _BfsShard:
-        def __init__(self, shard_id: int, n_shards: int):
-            self.sid = shard_id
-            self.n = n_shards
-            self._cu = []
-            self._cv = []
-
-        def load(self, u: np.ndarray, v: np.ndarray) -> int:
-            self._cu.append(u)
-            self._cv.append(v)
-            return len(u)
-
-        def finalize(self) -> int:
-            self.u = (np.concatenate(self._cu)
-                      if self._cu else np.array([], np.int64))
-            self.v = (np.concatenate(self._cv)
-                      if self._cv else np.array([], np.int64))
-            self._cu = self._cv = None
-            self.nodes = np.unique(self.u)
-            self.dist = np.full(len(self.nodes), -1, np.int64)
-            order = np.argsort(self.u, kind="stable")
-            self.u = self.u[order]
-            self.v = self.v[order]
-            self.vbucket = (pd.util.hash_array(self.v)
-                            % self.n).astype(np.int32)
-            self.lonely_seeds = np.array([], np.int64)
-            return len(self.nodes)
-
-        def seed(self, s: np.ndarray) -> int:
-            idx = np.searchsorted(self.nodes, s)
-            idx_c = np.clip(idx, 0, max(len(self.nodes) - 1, 0))
-            found = (len(self.nodes) > 0) & (self.nodes[idx_c] == s)
-            self.dist[idx_c[found]] = 0
-            # seeds absent from the edge table still appear at hops 0
-            self.lonely_seeds = np.unique(s[~found])
-            return int(found.sum())
-
-        def expand(self, r: int) -> list:
-            frontier = self.nodes[self.dist == r]
-            if len(frontier) == 0:
-                return [None] * self.n
-            m = np.isin(self.u, frontier)
-            out = []
-            for b in range(self.n):
-                vb = self.v[m & (self.vbucket == b)]
-                out.append(ray.put(np.unique(vb)) if len(vb) else None)
-            return out
-
-        def apply(self, r: int, pieces: list) -> int:
-            cand = [ray.get(p) for p in pieces if p is not None]
-            if not cand:
-                return 0
-            c = np.unique(np.concatenate(cand))
-            idx = np.searchsorted(self.nodes, c)
-            new = self.dist[idx] == -1
-            self.dist[idx[new]] = r + 1
-            return int(new.sum())
-
-        def get_dist(self):
-            m = self.dist >= 0
-            return pd.DataFrame({
-                "node": np.concatenate([self.nodes[m],
-                                        self.lonely_seeds]),
-                "hops": np.concatenate([
-                    self.dist[m],
-                    np.zeros(len(self.lonely_seeds), np.int64)])})
-
-    from ci_log_processing_ray.ops.window import resolve_group_buckets
-
-    n_shards = n_shards or max(
-        4, min(64, resolve_group_buckets(None) // 4))
-    shards = [_BfsShard.remote(i, n_shards) for i in range(n_shards)]
-    _route_edges_to_shards(edges, src_col, dst_col, shards, n_shards)
-    ray.get([s.finalize.remote() for s in shards])
-
-    seed_nodes = np.unique(
-        seeds.to_pandas()["node"].to_numpy(np.int64))
-    sb = (pd.util.hash_array(seed_nodes) % n_shards).astype(np.int32)
-    ray.get([shards[s].seed.remote(seed_nodes[sb == s])
-             for s in range(n_shards)])
-
-    for r in range(n_rounds):
-        per_shard = [ray.get(f) for f in
-                     [s.expand.remote(r) for s in shards]]
-        applies = [shards[b].apply.remote(
-            r, [per_shard[s][b] for s in range(n_shards)])
-            for b in range(n_shards)]
-        if sum(ray.get(applies)) == 0:
-            break
-    out = pd.concat(ray.get([s.get_dist.remote() for s in shards]),
-                    ignore_index=True)
-    return out.sort_values("node").reset_index(drop=True)
-
-
-def pagerank_resident(
-    edges: ray.data.Dataset,
-    src_col: str,
-    dst_col: str,
-    *,
-    n_iter: int = 3,
-    scale: int = 10**12,
-    damp_num: int = 85,
-    damp_den: int = 100,
-    n_shards: int | None = None,
-) -> "pd.DataFrame":
-    """Partition-resident PageRank, bit-identical to
-    :func:`pagerank_fixedpoint` (same int64 floor arithmetic, same
-    non-redistributed dangling mass): the rank vector is SHARDED into
-    the same actors that hold the hash(src)-partitioned DIRECTED edge
-    lists, and each round exchanges only per-dst contribution partials
-    as object refs -- the exact remedy the fixedpoint docstring
-    prescribes for graphs whose node state exceeds driver/broadcast
-    memory.  Per-edge out-degrees are resolved once at finalize; no
-    per-round rank broadcast, no per-round edge movement.  Returns
-    (node, rank_fp)."""
-
-    @ray.remote
-    class _PrShard:
-        def __init__(self, shard_id: int, n_shards: int):
-            self.sid = shard_id
-            self.n = n_shards
-            self._cs = []
-            self._cd = []
-            self._cn = []
-
-        def load(self, s: np.ndarray, d: np.ndarray) -> int:
-            self._cs.append(s)
-            self._cd.append(d)
-            return len(s)
-
-        def announce(self, nodes: np.ndarray) -> int:
-            self._cn.append(nodes)
-            return len(nodes)
-
-        def finalize(self, scale: int) -> int:
-            self.src = (np.concatenate(self._cs)
-                        if self._cs else np.array([], np.int64))
-            self.dst = (np.concatenate(self._cd)
-                        if self._cd else np.array([], np.int64))
-            self.nodes = (np.unique(np.concatenate(self._cn))
-                          if self._cn else np.array([], np.int64))
-            self._cs = self._cd = self._cn = None
-            order = np.argsort(self.src, kind="stable")
-            self.src = self.src[order]
-            self.dst = self.dst[order]
-            self.dbucket = (pd.util.hash_array(self.dst)
-                            % self.n).astype(np.int32)
-            # per-edge out-degree, resolved once: every edge of a src
-            # lives in this shard, so local counts ARE the out-degrees
-            u, inv, cnt = np.unique(self.src, return_inverse=True,
-                                    return_counts=True)
-            self.edge_deg = cnt[inv].astype(np.int64)
-            self.src_idx = np.searchsorted(self.nodes, self.src)
-            return len(self.nodes)
-
-        def init_ranks(self, n_total: int, scale: int,
-                       teleport: int) -> int:
-            self.ranks = np.full(len(self.nodes), scale // n_total,
-                                 np.int64)
-            self.teleport = teleport
-            return 0
-
-        def compute_contribs(self, damp_num: int, damp_den: int) -> list:
-            c = (damp_num * self.ranks[self.src_idx]) // (
-                damp_den * self.edge_deg)
-            out = []
-            for b in range(self.n):
-                m = self.dbucket == b
-                if not m.any():
-                    out.append(None)
-                    continue
-                d = self.dst[m]
-                order = np.argsort(d)
-                ds_, cs_ = d[order], c[m][order]
-                starts = np.flatnonzero(np.r_[True, ds_[1:] != ds_[:-1]])
-                out.append(ray.put(
-                    (ds_[starts],
-                     np.add.reduceat(cs_, starts))))
-            return out
-
-        def apply_contribs(self, pieces: list) -> int:
-            new = np.full(len(self.nodes), self.teleport, np.int64)
-            for p in pieces:
-                if p is None:
-                    continue
-                d, c = ray.get(p)
-                new[np.searchsorted(self.nodes, d)] += c
-            self.ranks = new
-            return 0
-
-        def get_ranks(self):
-            return pd.DataFrame({"node": self.nodes,
-                                 "rank_fp": self.ranks})
-
-    from ci_log_processing_ray.ops.window import resolve_group_buckets
-
-    n_shards = n_shards or max(
-        4, min(64, resolve_group_buckets(None) // 4))
-    shards = [_PrShard.remote(i, n_shards) for i in range(n_shards)]
-
-    def route(t: pa.Table) -> pa.Table:
-        s = t[src_col].combine_chunks().cast(pa.int64()).to_numpy()
-        d = t[dst_col].combine_chunks().cast(pa.int64()).to_numpy()
-        sb = (pd.util.hash_array(s) % n_shards).astype(np.int32)
-        alln = np.unique(np.concatenate([s, d]))
-        nb = (pd.util.hash_array(alln) % n_shards).astype(np.int32)
-        refs = []
-        for sh in range(n_shards):
-            m = sb == sh
-            if m.any():
-                refs.append(shards[sh].load.remote(s[m], d[m]))
-            mn = nb == sh
-            if mn.any():
-                refs.append(shards[sh].announce.remote(alln[mn]))
-        ray.get(refs)
-        return pa.table({"n": pa.array([len(s)], pa.int64())})
-
-    edges.map_batches(route, batch_format="pyarrow",
-                      zero_copy_batch=True).count()
-    counts = ray.get([s.finalize.remote(scale) for s in shards])
-    n_total = int(sum(counts))
-    teleport = (15 * scale) // (100 * n_total)
-    ray.get([s.init_ranks.remote(n_total, scale, teleport)
-             for s in shards])
-
-    for _ in range(n_iter):
-        per_shard = [ray.get(f) for f in
-                     [s.compute_contribs.remote(damp_num, damp_den)
-                      for s in shards]]
-        ray.get([shards[b].apply_contribs.remote(
-            [per_shard[s][b] for s in range(n_shards)])
-            for b in range(n_shards)])
-    out = pd.concat(ray.get([s.get_ranks.remote() for s in shards]),
-                    ignore_index=True)
-    return out.sort_values("node").reset_index(drop=True)
-
-
 def kcore_resident(
     edges: ray.data.Dataset,
     src_col: str,
@@ -1427,8 +1028,8 @@ def kcore_resident(
 ) -> "pd.DataFrame":
     """Full k-core decomposition (coreness per node) of the UNDIRECTED
     simple graph induced by the edge table, in the partition-resident
-    (BSP/Pregel) family shape of :func:`label_propagation_resident` /
-    :func:`bfs_hops_resident`.
+    (BSP/Pregel) shape: edges land in stateful shard actors once and
+    each round exchanges only node-shaped messages.
 
     Algorithm: the distributed h-index fixpoint (Montresor, De Pellegrini,
     Miorandi, "Distributed k-Core Decomposition", 2011 -- public
@@ -1909,8 +1510,8 @@ def deterministic_random_walks(
     Scale shape: per step, ONE tagged co-partition of the walk-state
     table (start, cur) with the bidirectional edge table on
     hash(cur) -- walk state is node-shaped, edges move once per step
-    (pre-partitioning edges into resident actors is the noted step-up
-    at real scale, as for BFS/LPA).  The md5-per-candidate loop inside
+    (pre-partitioning edges into resident actors, as
+    :func:`kcore_resident` does, is the noted step-up at real scale).  The md5-per-candidate loop inside
     the kernel exists solely to match DuckDB's md5() -- swap in
     pd.util.hash_array for a non-oracle production walk.  Dead ends
     stop early exactly like the SQL.  Returns (start, step, node) for
@@ -2063,9 +1664,8 @@ def personalized_pagerank_fixedpoint(
                    (damp_num * r_t(u)) // (damp_den * outdeg(u))
 
     Same model-broadcast shape, dangling-mass and multi-edge semantics,
-    and broadcast-sized node-state contract as the global fixedpoint
-    (shard the rank vector a la :func:`pagerank_resident` beyond
-    that).  Seeds absent from the edge set are ignored.  Returns
+    and broadcast-sized node-state contract as the global fixedpoint.
+    Seeds absent from the edge set are ignored.  Returns
     (node, rank_fp)."""
     from ci_log_processing_ray.ops.window import (
         bucketed_distinct, bucketed_sum)

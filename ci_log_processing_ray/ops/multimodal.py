@@ -122,32 +122,6 @@ def decode_images(
         concurrency=concurrency, num_cpus=1)
 
 
-class AudioFrameSampler:
-    """Frame-sampling stub for audio/video payloads: every k-th frame's
-    digest -- real sampling plumbing, fake decode (no codec libs)."""
-
-    def __init__(self, payload_col: str = "payload", id_col: str = "media_id",
-                 frame_bytes: int = 1024, stride: int = 4):
-        self.payload_col, self.id_col = payload_col, id_col
-        self.frame_bytes, self.stride = frame_bytes, stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, frame_nos, digests = [], [], []
-        for media_id, raw in zip(batch[self.id_col].to_pylist(),
-                                 batch[self.payload_col].to_pylist()):
-            n_frames = max(1, len(raw) // self.frame_bytes)
-            for f in range(0, n_frames, self.stride):
-                chunk = raw[f * self.frame_bytes:(f + 1) * self.frame_bytes]
-                ids.append(media_id)
-                frame_nos.append(f)
-                digests.append(hashlib.sha1(chunk).hexdigest()[:16])
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "frame_no": pa.array(frame_nos, type=pa.int32()),
-            "frame_digest": pa.array(digests, type=pa.string()),
-        })
-
-
 class ImageResizer:
     """Actor-pool resize stage: nearest-neighbor downscale of the raw
     payload (numpy fancy-indexing -- the real resize math; a codec lib

@@ -15,7 +15,6 @@ shrink buckets at larger scale.
 from __future__ import annotations
 
 import datetime
-import os
 
 import numpy as np
 import pandas as pd
@@ -63,13 +62,6 @@ def resolve_group_buckets(
                 n = max(n, 2 * cpus)
     except Exception:  # resolution must never break the pipeline
         pass
-    env = os.environ.get("CI_LOG_GROUP_BUCKETS")
-    if env:
-        # cluster-width simulation / operator override: raise the
-        # default as if the cluster had env/2 CPUs (scale proofs use
-        # this to demonstrate the reduce-width a real 256-node cluster
-        # would get; never lowers, and explicit n_buckets still wins)
-        n = max(n, int(env))
     if input_rows is not None:
         # LOWER the default when the caller KNOWS the exchange is small
         # (iterative ops count their frontier every round): below

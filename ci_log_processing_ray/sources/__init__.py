@@ -1,2 +1,2 @@
 from .synth import generate_corpus, CorpusSpec  # noqa: F401
-from .readers import read_token_sequences, load_build_meta  # noqa: F401
+from .readers import load_build_meta  # noqa: F401

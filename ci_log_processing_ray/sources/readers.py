@@ -1,11 +1,10 @@
-"""Corpus readers.
+"""Corpus readers: the build_meta lookup side of the enrichment join
+and a stripe-parallel ORC ingest.
 
-``read_token_sequences`` replaces the reference's network source + build-dir
-scan (get_builds logscraper.py:414-440; get_ready_directories
-logsender.py:175-198): the pre-tokenized Parquet table *is* the staged
-corpus.  Column pruning happens at the read; resume filtering (the
-BuildCache anti-join, logscraper.py:457-468) happens on the file list
-before the read via state/manifest.py.
+The flagship reads its log parquet through
+``pipelines/flagship.py:_WholeFileParquet`` (one read task per file);
+resume filtering (the BuildCache anti-join, logscraper.py:457-468)
+happens on the file list before the read via state/manifest.py.
 """
 
 from __future__ import annotations
@@ -14,20 +13,6 @@ from typing import Optional, Sequence
 
 import pyarrow.parquet as pq
 import ray.data
-
-
-def read_token_sequences(
-    paths: str | Sequence[str],
-    *,
-    columns: Optional[list[str]] = None,
-    override_num_blocks: Optional[int] = None,
-) -> ray.data.Dataset:
-    """Read the (doc_id, tokens, n_tok, source) table, pruned to `columns`."""
-    return ray.data.read_parquet(
-        paths,
-        columns=columns,
-        override_num_blocks=override_num_blocks,
-    )
 
 
 def load_build_meta(path: str) -> "pyarrow.Table":  # noqa: F821

@@ -416,23 +416,6 @@ def main_graph() -> None:
                              n_rounds=4),
             check_bfs)
 
-        # partition-resident variant: edges land in shard actors once,
-        # rounds exchange only frontier-neighbor ids; same truth
-        from ci_log_processing_ray.ops.iterative import bfs_hops_resident
-
-        def check_bfs_frame(out):
-            got = dict(zip(out["node"].to_numpy(),
-                           out["hops"].to_numpy()))
-            assert got == {i: i for i in range(5)}, got
-
-        t0 = time.perf_counter()
-        frame = bfs_hops_resident(read(), "src", "dst",
-                                  ray.data.from_items([{"node": 0}]),
-                                  n_rounds=4, n_shards=NCPU)
-        sec = time.perf_counter() - t0
-        check_bfs_frame(frame)
-        results["bfs_hops_resident"] = round(sec, 2)
-
         # 3 fixed-point rounds; min rank >= the teleport floor term
         scale = 10 ** 12
 
@@ -444,19 +427,6 @@ def main_graph() -> None:
             lambda: pagerank_fixedpoint(read(), "src", "dst", n_iter=3,
                                         scale=scale),
             check_pr)
-
-        # sharded-rank variant: bit-identical semantics, no per-round
-        # rank broadcast or edge movement; same teleport-floor truth
-        from ci_log_processing_ray.ops.iterative import pagerank_resident
-
-        t0 = time.perf_counter()
-        pr = pagerank_resident(read(), "src", "dst", n_iter=3,
-                               scale=scale, n_shards=NCPU)
-        sec = time.perf_counter() - t0
-        assert int(pr["rank_fp"].min()) >= (15 * scale) // (
-            100 * n_nodes)
-        assert len(pr) == n_nodes
-        results["pagerank_3r_resident"] = round(sec, 2)
 
         # bounded-hop weighted SSSP: weights synthesized per edge as
         # 1 + src % 3; family 0 is a pure chain, so from seed 0 the
@@ -1318,7 +1288,6 @@ def build_lpa_corpus() -> int:
 
 
 def main_lpa() -> None:
-    import numpy as np
     import ray
     from ray.data import DataContext
 
@@ -1353,24 +1322,6 @@ def main_lpa() -> None:
         sec = time.perf_counter() - t0
         assert n_ok == n_nodes, n_ok
         results["label_propagation"] = {
-            "sec": round(sec, 2),
-            "edges_per_sec_per_round": round(n_edges * 4 / sec)}
-
-        # resident (Pregel-shape) variant: edges land in actors once,
-        # each round exchanges only node-shaped vote partials -- same
-        # per-row truth asserted on the returned frame
-        from ci_log_processing_ray.ops.iterative import (
-            label_propagation_resident)
-
-        t0 = time.perf_counter()
-        lr = label_propagation_resident(
-            ray.data.read_parquet(CORPUS_LPA), "src", "dst",
-            n_rounds=4, n_shards=NCPU)
-        sec = time.perf_counter() - t0
-        node = lr["node"].to_numpy()
-        assert (lr["label"].to_numpy() == (node // 8) * 8).all()
-        assert len(lr) == n_nodes, len(lr)
-        results["label_propagation_resident"] = {
             "sec": round(sec, 2),
             "edges_per_sec_per_round": round(n_edges * 4 / sec)}
 

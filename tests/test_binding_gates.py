@@ -197,6 +197,21 @@ def test_simhash_gate_fires_without_planting(ray_session, monkeypatch):
         entrymod.q_simhash(SF0)
 
 
+def test_simhash_domain_guard_fires_on_wordless_doc(tmp_path):
+    # The oracle drops a document with no words; the engine hashes it
+    # to 0.  The guard raises before the op runs, so no Ray is needed.
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    for text in ["", " \t\n", None]:
+        pq.write_table(pa.table({
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array(["two words", text], pa.string())}),
+            tmp_path / "documents.parquet")
+        with pytest.raises(AssertionError, match="simhash: 1 documents"):
+            entrymod.q_simhash(str(tmp_path))
+
+
 def test_winnow_gate_fires_without_planting(ray_session, monkeypatch):
     monkeypatch.setattr(entrymod, "_plant_dup_texts", lambda ds: ds)
     with pytest.raises(AssertionError, match="winnow"):

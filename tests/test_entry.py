@@ -189,6 +189,33 @@ def test_bench_list_and_coverage_complete():
     assert not unmapped, unmapped
 
 
+def test_harness_imports_resolve():
+    """scale_proof.py and bench.py import library names inside their
+    mode functions, so a deleted name would only fail when that mode
+    runs.  An AST scan: every name they import from the package must
+    exist.  Needs no Ray session."""
+    import ast
+    import importlib
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    missing, n = [], 0
+    for script in ("scale_proof.py", "bench.py"):
+        tree = ast.parse((root / script).read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0]
+                    == "ci_log_processing_ray"):
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    n += 1
+                    if not hasattr(mod, alias.name):
+                        missing.append(f"{script}:{node.lineno} "
+                                       f"{node.module}.{alias.name}")
+    assert n > 0
+    assert not missing, missing
+
+
 def test_log_path_imports_no_pandas():
     """The log path (stages, functions, pipelines, state, sources) runs
     on Arrow and numpy alone.  An AST scan of its sources, not
