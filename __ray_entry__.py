@@ -36,7 +36,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ci_log_processing_ray.config import PipelineConfig
 from ci_log_processing_ray.functions.messages import extract_messages, extract_severity
-from ci_log_processing_ray.functions.timestamps import extract_timestamps
+from ci_log_processing_ray.functions.timestamps import _WS_SET, extract_timestamps
 from ci_log_processing_ray.ops.dedup import (
     embedding_dedup,
     exact_dedup,
@@ -1190,6 +1190,9 @@ ORDER BY media_id, frame_no
 # negative exactly like the engine's uint64->int64 cast) and bucket
 # sizes are then plain SQL, so the FULL output including the raw
 # 64-bit simhash values is oracle-checked.
+# Words are split on the engine's own whitespace set (ops/dedup.py:
+# _simhash_batch), the 29 str.isspace() code points: RE2's \s is only
+# [\t\n\f\r ].
 _SIMHASH_ORACLE = r"""
 WITH RECURSIVE aug AS (
   SELECT doc_id, text FROM documents
@@ -1199,7 +1202,7 @@ WITH RECURSIVE aug AS (
 ),
 docwords AS (
   SELECT doc_id,
-         list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS ws
+         list_filter(string_split_regex(text, '[{ws}]+'), x -> x <> '') AS ws
   FROM aug
 ),
 vocab AS (SELECT DISTINCT unnest(ws) AS w FROM docwords),
@@ -1236,7 +1239,7 @@ SELECT doc_id,
                  ELSE uh END AS BIGINT) AS simhash,
        count(*) OVER (PARTITION BY uh) AS bucket_size
 FROM sh ORDER BY doc_id
-"""
+""".format(ws=_WS_SET)
 
 
 # minhash_dedup exact oracle: the engine's verified-edge truth set is

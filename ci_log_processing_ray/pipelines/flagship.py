@@ -42,7 +42,7 @@ from ray.data.datasource import FileBasedDatasource
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
 from ..sources.readers import load_build_meta
 from ..stages.enrich import make_enrich_fn
-from ..stages.parse import _split_doc_id, make_parse_fn
+from ..stages.parse import make_parse_fn, split_doc_id
 from ..stages.route import make_route_fn
 from ..state.manifest import Manifest, ManifestStore, partition_id, pending_inputs
 
@@ -93,31 +93,42 @@ def make_fanout_writer(staging_dir: str,
     index itself is not written: a re-run numbers its pending set anew.
     """
 
-    def write_one_partition(t: pa.Table, part_dir: str) -> None:
-        tag = hashlib.sha1(
-            f"{t['doc_id'][0].as_py()}|{len(t)}".encode()).hexdigest()[:8]
-        sink_enc = t["sink"].combine_chunks().dictionary_encode()
-        indices = sink_enc.indices
-        for i, sink_val in enumerate(sink_enc.dictionary.to_pylist()):
-            sub = t.filter(pc.equal(indices, i)).drop_columns("sink")
-            d = os.path.join(part_dir, f"sink={sink_val}")
-            os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, f"part-{tag}.parquet")
-            tmp = f"{path}.tmp-{os.getpid()}"
-            pq.write_table(sub, tmp)
-            os.replace(tmp, path)
-
     def write_and_count(t: pa.Table) -> pa.Table:
         if len(t) == 0:
             return _PARTIAL_SCHEMA.empty_table()
-        # one read task per input file means a batch is normally a
-        # single partition; group anyway so mixed batches stay correct
-        part_enc = t["_partition"].combine_chunks().dictionary_encode()
-        for j, pid in enumerate(part_enc.dictionary.to_pylist()):
-            sub = t.filter(pc.equal(part_enc.indices, j)).drop_columns(
-                "_partition")
+        # ONE stable sort by (partition, sink) and ONE take; each
+        # (partition, sink) file is then a zero-copy slice, its rows in
+        # block order.  One read task per input file means a batch is
+        # normally a single partition; mixed batches take the same path.
+        part = t["_partition"].combine_chunks().to_numpy(zero_copy_only=False)
+        sink_enc = t["sink"].combine_chunks().dictionary_encode()
+        sinks = sink_enc.dictionary.to_pylist()
+        sink = sink_enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)
+        key = part.astype(np.int64) * (len(sinks) + 1) + (sink + 1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.append(starts[1:], len(key))
+        grouped = t.take(pa.array(order)).drop_columns(["_partition", "sink"])
+        # a partition's file tag: its first row in block order, its size
+        pids, first, n_rows = np.unique(part, return_index=True,
+                                        return_counts=True)
+        tags = {}
+        for pid, i, n in zip(pids.tolist(), first.tolist(), n_rows.tolist()):
+            tags[pid] = hashlib.sha1(
+                f"{t['doc_id'][i].as_py()}|{n}".encode()).hexdigest()[:8]
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            s = int(sink[order[lo]])
+            if s < 0:  # a row without a sink is not written
+                continue
+            pid = int(part[order[lo]])
             name = pid_names[pid] if pid_names is not None else f"{pid:05d}"
-            write_one_partition(sub, os.path.join(staging_dir, f"part-{name}"))
+            d = os.path.join(staging_dir, f"part-{name}", f"sink={sinks[s]}")
+            os.makedirs(d, exist_ok=True)
+            path = os.path.join(d, f"part-{tags[pid]}.parquet")
+            tmp = f"{path}.tmp-{os.getpid()}"
+            pq.write_table(grouped.slice(lo, hi - lo), tmp)
+            os.replace(tmp, path)
         g = pa.table({
             "_partition": t["_partition"],
             "sink": t["sink"],
@@ -187,10 +198,8 @@ def make_block_fn(
 
 
 def _add_file_key(t: pa.Table) -> pa.Table:
-    build, fname, line_no = _split_doc_id(t)
-    return t.append_column(
-        "_file", pc.binary_join_element_wise(build, fname, "/")
-    ).append_column("_line", line_no)
+    _, _, line_no, fid = split_doc_id(t["doc_id"].combine_chunks())
+    return t.append_column("_file", fid).append_column("_line", line_no)
 
 
 def _in_file_order(t: pa.Table) -> pa.Table:

@@ -46,7 +46,7 @@ BUILD_FILES: list[tuple[str, str]] = [
     ("controller/logs/libvirt/libvirtd_log.txt", "libvirt"),
     ("controller/logs/performance.json", "performance"),
     ("testrepository.subunit", "subunit"),
-    ("testrepository.subunit.gz", "subunit"),  # broken, skipped at route
+    ("testrepository.subunit.gz", "subunit"),  # broken, skipped unread at parse
 ]
 
 _MODULES = ["nova.compute", "neutron.agent", "keystone.token", "glance.api",

@@ -7,6 +7,16 @@ logsender.py:394-428), the grok drop rules (openstack-filters.conf:5-11,
 logsender.py:288-329, 384-391) and the subunit branch (subunit_iter,
 logsender.py:447-464), dispatched on the ``source`` column.
 
+Each block's ``doc_id`` is split ONCE (``split_doc_id``: two
+``split_pattern`` kernels) into build, filename, line number and file id.
+Rows of a broken file (``config.BROKEN_FILES``) are then dropped unread,
+before any branch decodes them, as the reference skips the file
+(logsender.py:527-530).  The branches work on a row selection
+(``_Rows``): block row positions plus the narrow per-row arrays they
+read, taken together at every drop.  The wide input columns (``doc_id``,
+``tokens``, ``n_tok``, ``source``, ``_partition``) stay in the block
+until ``_assemble`` gathers each output row from it once.
+
 The logline branch runs no Python per row.  Timestamp carry-forward (the
 stateful per-file scan of logsender.py:394-413) is a segment-aware numpy
 forward fill; the logstash multiline join is one Arrow ``binary_join`` per
@@ -29,14 +39,17 @@ same parse.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from datetime import datetime
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import (
+    BROKEN_FILES,
     LOGLINE_SOURCES,
     PipelineConfig,
     SEVERITY_NONE,
@@ -47,7 +60,6 @@ from ..functions.messages import extract_messages, extract_severity
 from ..functions.timestamps import extract_timestamps
 from ..reference_impl import INT64_MAX
 
-_DOC_ID_RE = r"^(?P<build_uuid>[^/]+)/(?P<filename>.+)/(?P<line_no>[0-9]+)$"
 _BANNER = "-- Logs begin at "
 
 PARSED_FIELDS = [
@@ -81,118 +93,214 @@ PARSED_FIELDS = [
 PARSED_SCHEMA = pa.schema(PARSED_FIELDS)
 
 
-def _split_doc_id(tbl: pa.Table) -> tuple[pa.Array, pa.Array, pa.Array]:
-    parts = pc.extract_regex(tbl["doc_id"].combine_chunks(), pattern=_DOC_ID_RE)
-    build = pc.struct_field(parts, "build_uuid")
-    fname = pc.struct_field(parts, "filename")
-    line_no = pc.cast(pc.struct_field(parts, "line_no"), pa.int32())
-    return build, fname, line_no
+def _halves(parts: pa.ListArray) -> tuple[pa.Array, pa.Array]:
+    """Both pieces of each row of a ``max_splits=1`` split, null where
+    the row is null or held no separator."""
+    offsets = parts.offsets.to_numpy()
+    first = offsets[:-1]
+    missing = np.diff(offsets) != 2
+    values = parts.values
+    return (values.take(pa.array(first, mask=missing)),
+            values.take(pa.array(first + 1, mask=missing)))
 
 
-def _nulls(n: int, typ) -> pa.Array:
-    return pa.nulls(n, type=typ)
+def split_doc_id(doc_id: pa.Array) -> tuple[pa.Array, pa.Array, pa.Array,
+                                            pa.Array]:
+    """(build_uuid, filename, line_no, file id) of ``build/filename/line``
+    doc_ids.  The last ``/`` splits off the line number; the first ``/``
+    of the rest, the file id, splits the build from the filename.
+
+    A row is null in all four unless the build and the filename are
+    non-empty, the filename holds no newline and the line number is
+    ASCII digits: the match domain of
+    ``^([^/]+)/(.+)/([0-9]+)$`` (RE2 ``.`` excludes only newline).
+    """
+    fid, line = _halves(pc.split_pattern(doc_id, "/", max_splits=1,
+                                         reverse=True))
+    build, fname = _halves(pc.split_pattern(fid, "/", max_splits=1))
+    ok = pc.and_(
+        pc.and_(pc.greater(pc.binary_length(build), 0),
+                pc.greater(pc.binary_length(fname), 0)),
+        pc.and_(pc.invert(pc.match_substring(fname, "\n")),
+                pc.ascii_is_decimal(line))).fill_null(False)
+    if ok.false_count:
+        build, fname, line, fid = (
+            pc.if_else(ok, a, pa.scalar(None, a.type))
+            for a in (build, fname, line, fid))
+    return build, fname, pc.cast(line, pa.int32()), fid
 
 
-def _finalize(tbl: pa.Table, cols: dict[str, pa.Array],
+def _mask(arr) -> np.ndarray:
+    return arr.fill_null(False).to_numpy(zero_copy_only=False)
+
+
+@dataclasses.dataclass
+class _Block:
+    """Per-block inputs that row selections index into."""
+    doc_id: pa.Array
+    fid: pa.Array
+    n_tok: Optional[np.ndarray]
+
+
+@dataclasses.dataclass
+class _Rows:
+    """A selection of a block's rows: their positions ``idx`` in the
+    block and the narrow per-row arrays the branches read."""
+    block: _Block
+    idx: np.ndarray
+    lines: pa.Array
+    source: pa.Array
+    build: pa.Array
+    filename: pa.Array
+    line_no: pa.Array
+    fcode: np.ndarray  # file id code: equal codes, same file
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def take(self, sel: np.ndarray, **replace) -> "_Rows":
+        """Rows ``sel`` of this selection; ``replace`` gives arrays that
+        are already per selected row."""
+        ix = pa.array(sel)
+        out = {"block": self.block, "idx": self.idx[sel],
+               "fcode": self.fcode[sel]}
+        for f in ("lines", "source", "build", "filename", "line_no"):
+            out[f] = replace[f] if f in replace else getattr(self, f).take(ix)
+        return _Rows(**out)
+
+    def doc_id(self, i: int) -> str:
+        return self.block.doc_id[int(self.idx[i])].as_py()
+
+    def cols(self) -> dict[str, pa.Array]:
+        return {"build_uuid": self.build, "filename": self.filename,
+                "line_no": self.line_no}
+
+
+def _block_rows(batch: pa.Table, lines: pa.Array) -> _Rows:
+    doc_id = batch["doc_id"].combine_chunks()
+    build, fname, line_no, fid = split_doc_id(doc_id)
+    fcode = fid.dictionary_encode(null_encoding="encode").indices
+    n_tok = (batch["n_tok"].combine_chunks().to_numpy(zero_copy_only=False)
+             if "n_tok" in batch.column_names else None)
+    return _Rows(_Block(doc_id, fid, n_tok), np.arange(len(batch)), lines,
+                 batch["source"].combine_chunks(), build, fname, line_no,
+                 fcode.to_numpy(zero_copy_only=False))
+
+
+def _assemble(batch: pa.Table, parts: list[tuple[np.ndarray, dict]],
               received_at=None) -> pa.Table:
-    """Assemble the unified PARSED_SCHEMA table.
+    """The PARSED_SCHEMA table of the branches' output rows, in order.
 
-    Input columns whose name starts with ``_`` (e.g. the lineage
-    partition id) are passed through unchanged after the schema columns.
+    Each part is (block row positions, computed columns).  A row whose
+    doc_id did not split has no file, so no sink: it is dropped here.
+    The input columns (doc_id, tokens, n_tok, source and every column
+    whose name starts with ``_``, e.g. the lineage partition id) are
+    gathered from ``batch`` in ONE take; a part's computed column of the
+    same name (n_tok of a multiline event) replaces it for that part.
     ``received_at`` (a datetime) broadcasts to every row -- the conf
     adds it in every grok block.
     """
-    n = len(tbl)
-    if received_at is not None and "received_at" not in cols:
-        cols = {**cols,
-                "received_at": pa.nulls(n, pa.timestamp("us")).fill_null(
-                    received_at)}
+    kept = []
+    for idx, cols in parts:
+        if cols["filename"].null_count:
+            ok = cols["filename"].is_valid()
+            idx = idx[_mask(ok)]
+            cols = {k: v.filter(ok) for k, v in cols.items()}
+        kept.append((idx, cols))
+    idx = np.concatenate([p[0] for p in kept] or [np.arange(0)])
+    n = len(idx)
+    if n == len(batch) and (idx == np.arange(n)).all():
+        wide = batch
+    else:
+        wide = batch.take(pa.array(idx))
     out = {}
     for name, typ in PARSED_FIELDS:
-        if name in cols:
-            arr = cols[name]
-        elif name in tbl.column_names:
-            arr = tbl[name]
+        if any(name in cols for _, cols in kept):
+            out[name] = pa.chunked_array([
+                (cols[name] if name in cols
+                 else batch[name].take(pa.array(i))
+                 if name in batch.column_names
+                 else pa.nulls(len(i), typ)).cast(typ)
+                for i, cols in kept], type=typ)
+        elif name in batch.column_names:
+            out[name] = wide[name]
+        elif name == "received_at" and received_at is not None:
+            out[name] = pa.nulls(n, typ).fill_null(received_at)
         else:
-            arr = _nulls(n, typ)
-        out[name] = arr
+            out[name] = pa.nulls(n, typ)
     schema = PARSED_SCHEMA
-    for name in tbl.column_names:
+    for name in batch.column_names:
         if name.startswith("_") and name not in out:
-            out[name] = tbl[name]
-            schema = schema.append(pa.field(name, tbl.schema.field(name).type))
+            out[name] = wide[name]
+            schema = schema.append(pa.field(name, batch.schema.field(name).type))
     return pa.table(out, schema=schema)
 
 
-def _segments(tbl: pa.Table) -> tuple[pa.Array, pa.Array, pa.Array,
-                                       np.ndarray, np.ndarray]:
-    """(build, filename, line_no, file ids, contiguous-run segment ids)."""
-    build, fname, line_no = _split_doc_id(tbl)
-    fid = np.asarray(pc.binary_join_element_wise(build, fname, "/"))
-    change = np.empty(len(fid), dtype=bool)
+def _segments(fcode: np.ndarray) -> np.ndarray:
+    """Contiguous-run segment id of each row."""
+    change = np.empty(len(fcode), dtype=bool)
     change[:1] = True
-    change[1:] = fid[1:] != fid[:-1]
-    return build, fname, line_no, fid, np.cumsum(change) - 1
+    change[1:] = fcode[1:] != fcode[:-1]
+    return np.cumsum(change) - 1
 
 
-def _check_layout(tbl: pa.Table, fid: np.ndarray, seg: np.ndarray,
-                  line_no: pa.Array) -> None:
+def _check_layout(rows: _Rows, seg: np.ndarray) -> None:
     """Raise unless each file's rows form one run in strictly increasing
     line order (the scan state of a file split into several runs, or
     out of order, is not in one place)."""
     if len(seg) < 2:
         return
-    ln = line_no.to_numpy(zero_copy_only=False)
+    ln = rows.line_no.to_numpy(zero_copy_only=False)
     bad = np.flatnonzero((seg[1:] == seg[:-1]) & (ln[1:] <= ln[:-1])) + 1
     starts = np.flatnonzero(np.diff(seg, prepend=-1))
     repeat = np.ones(len(starts), dtype=bool)
-    repeat[np.unique(fid[starts], return_index=True)[1]] = False
+    repeat[np.unique(rows.fcode[starts], return_index=True)[1]] = False
     split = starts[repeat]
     if len(bad) or len(split):
         at = min(bad[:1].tolist() + split[:1].tolist())
         raise ValueError(
             "parse layout violation: a block holds a file's rows in "
             "several runs or out of line order, at doc_id="
-            f"{tbl['doc_id'][at].as_py()!r}. fill_mode='batch' needs each "
+            f"{rows.doc_id(at)!r}. fill_mode='batch' needs each "
             "file's rows contiguous and in line order within a block; use "
             "fill_mode='grouped' for arbitrary layouts.")
 
 
 def _join_multiline(
-    tbl: pa.Table, lines: pa.Array, seg: np.ndarray, mid_head: bool
-) -> tuple[pa.Table, pa.Array]:
+    rows: _Rows, seg: np.ndarray, mid_head: bool
+) -> tuple[_Rows, Optional[pa.Array]]:
     """Fold continuation lines into their anchor event
     (openstack-filters.conf:12-43), segment-local: one event per anchor
     run, message lines joined with newlines, n_tok summed over the
-    event, all other columns taken from the anchor row.  Same
-    block-contiguity contract as the timestamp carry-forward."""
+    event (returned, or None when nothing folds), all other columns
+    taken from the anchor row.  Same block-contiguity contract as the
+    timestamp carry-forward."""
     from .grok import anchor_mask, join_events
 
-    n = len(tbl)
-    src_np = np.asarray(tbl["source"].combine_chunks())
+    n = len(rows)
+    src_np = np.asarray(rows.source)
     anchors = np.ones(n, dtype=bool)
     for family in ("console", "oslofmt"):
         fam = src_np == family
         if fam.any():
-            anchors[fam] = anchor_mask(lines.filter(pa.array(fam)), family)
+            anchors[fam] = anchor_mask(rows.lines.filter(pa.array(fam)),
+                                       family)
     if mid_head and not anchors[0]:
         raise ValueError(
             "multiline-join ambiguity: block starts mid-file with a "
-            f"continuation row at doc_id={tbl['doc_id'][0].as_py()!r}; "
+            f"continuation row at doc_id={rows.doc_id(0)!r}; "
             "its anchor lives in another block. Use file-aligned row "
             "groups (one read task per file), or fill_mode='grouped'.")
     start = anchors | (np.diff(seg, prepend=-1) != 0)
     starts = np.nonzero(start)[0]
     if len(starts) == n:
-        return tbl, lines
-    out = tbl.take(pa.array(starts))
-    if "n_tok" in tbl.column_names:
-        ntok = tbl["n_tok"].combine_chunks().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        sums = np.add.reduceat(ntok, starts).astype(np.int32)
-        out = out.set_column(out.schema.get_field_index("n_tok"),
-                             "n_tok", pa.array(sums, type=pa.int32()))
-    return out, join_events(lines, starts)
+        return rows, None
+    sums = None
+    if rows.block.n_tok is not None:
+        ntok = rows.block.n_tok[rows.idx].astype(np.int64)
+        sums = pa.array(np.add.reduceat(ntok, starts).astype(np.int32),
+                        type=pa.int32())
+    return rows.take(starts, lines=join_events(rows.lines, starts)), sums
 
 
 _GROK_COL_NAMES = ("module", "pid", "syslog_program", "syslog_pid",
@@ -222,17 +330,26 @@ def _extract_grok_cols(
     return cols
 
 
+def _select(rows: _Rows, cols: dict[str, pa.Array],
+            keep: np.ndarray) -> tuple[np.ndarray, dict[str, pa.Array]]:
+    """A branch's output: the kept rows' block positions and columns."""
+    if keep.all():
+        return rows.idx, cols
+    m = pa.array(keep)
+    return rows.idx[keep], {k: v.filter(m) for k, v in cols.items()}
+
+
 def _parse_loglines(
-    tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig
-) -> pa.Table:
+    rows: _Rows, cfg: PipelineConfig
+) -> tuple[np.ndarray, dict[str, pa.Array]]:
     """The logline_iter + doc_iter + grok-drop path, vectorized."""
     # Does the block start mid-file?  Decided on the first INPUT row: a
     # block holding a file's line 0 holds its whole scan state, whatever
     # the drop rules below remove from the file's head.
-    head_file, head_line = tbl["doc_id"][0].as_py().rsplit("/", 1)
-    src = tbl["source"].combine_chunks()
+    head_file, head_line = rows.doc_id(0).rsplit("/", 1)
+    lines, src = rows.lines, rows.source
     # --- drop rules that do not depend on scan state ---------------------
-    keep = np.ones(len(tbl), dtype=bool)
+    keep = np.ones(len(rows), dtype=bool)
     if cfg.skip_debug:  # substring filter (logsender.py:400-402)
         keep &= ~pc.match_substring(lines, "DEBUG").to_numpy(zero_copy_only=False)
     screen_srcs = [s for s, t in SOURCE_TAGS.items() if "screen" in t]
@@ -250,19 +367,20 @@ def _parse_loglines(
         keep &= ~m.to_numpy(zero_copy_only=False)
 
     if not keep.all():
-        keep_idx = np.nonzero(keep)[0]
-        tbl = tbl.take(keep_idx)
-        lines = lines.take(pa.array(keep_idx))
+        rows = rows.take(np.nonzero(keep)[0])
 
-    build, fname, line_no, fid, seg = _segments(tbl)
-    _check_layout(tbl, fid, seg, line_no)
+    seg = _segments(rows.fcode)
+    _check_layout(rows, seg)
     # the head checks below concern the first kept file only when it is
     # the file the block started in mid-file
-    mid_head = bool(len(tbl)) and int(head_line) > 0 and fid[0] == head_file
+    mid_head = (bool(len(rows)) and int(head_line) > 0
+                and rows.block.fid[int(rows.idx[0])].as_py() == head_file)
 
-    if cfg.multiline_join and len(tbl):
-        tbl, lines = _join_multiline(tbl, lines, seg, mid_head)
-        build, fname, line_no, fid, seg = _segments(tbl)
+    n_tok = None
+    if cfg.multiline_join and len(rows):
+        rows, n_tok = _join_multiline(rows, seg, mid_head)
+        seg = _segments(rows.fcode)
+    lines = rows.lines
 
     ts_ex = extract_timestamps(lines, cfg.today_year)
 
@@ -282,7 +400,7 @@ def _parse_loglines(
         if needs_fill.any() or banner[:n0][~anchored].any():
             raise ValueError(
                 "carry-forward ambiguity: block starts mid-file at "
-                f"doc_id={tbl['doc_id'][0].as_py()!r} with unanchored "
+                f"doc_id={rows.doc_id(0)!r} with unanchored "
                 "leading rows; the input layout violates the "
                 "one-log-file-per-block contract. Re-write the input "
                 "with file-aligned row groups and one read task per "
@@ -304,25 +422,19 @@ def _parse_loglines(
     severity = extract_severity(lines)
     message = extract_messages(lines, keep_newlines=cfg.multiline_join)
 
-    cols = {
-        "build_uuid": build, "filename": fname, "line_no": line_no,
-        "ts": ts, "severity": severity, "message": message,
-    }
+    cols = {**rows.cols(), "ts": ts, "severity": severity, "message": message}
+    if n_tok is not None:
+        cols["n_tok"] = n_tok
     if cfg.grok_fields:
-        cols.update(_extract_grok_cols(
-            lines, np.asarray(tbl["source"].combine_chunks())))
-    out = _finalize(tbl, cols, received_at=cfg.received_at)
-    # one fused selection pass: banner drop + empty-message drop
+        cols.update(_extract_grok_cols(lines, np.asarray(rows.source)))
+    # one fused selection: banner drop + empty-message drop
     # (logsender.py:421-424) + optional DEBUG-severity drop
     # (openstack-filters.conf:81-83)
     keep_mask = ~drop_banner
-    keep_mask &= pc.not_equal(message, "").to_numpy(zero_copy_only=False)
+    keep_mask &= _mask(pc.not_equal(message, ""))
     if cfg.drop_debug_severity:
-        keep_mask &= pc.not_equal(severity, "DEBUG").to_numpy(
-            zero_copy_only=False)
-    if not keep_mask.all():
-        out = out.filter(pa.array(keep_mask))
-    return out
+        keep_mask &= _mask(pc.not_equal(severity, "DEBUG"))
+    return _select(rows, cols, keep_mask)
 
 
 def _flatten_perf(data: dict) -> dict:
@@ -348,8 +460,8 @@ def _flatten_perf(data: dict) -> dict:
     return fields
 
 
-def _map_payloads(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig,
-                  fn) -> tuple[pa.Table, pa.Array, list]:
+def _map_payloads(rows: _Rows, cfg: PipelineConfig,
+                  fn) -> tuple[_Rows, list]:
     """``fn`` over each payload line of a row-at-a-time JSON branch.
 
     A line whose ``fn`` raises is a poison row (e.g. a corrupt JSON
@@ -358,10 +470,10 @@ def _map_payloads(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig,
     poison vector, so quarantine lives HERE rather than bisecting the
     whole parse UDF (whose logline branch is not row-independent: the
     layout contract would misfire on bisected sub-batches).  Returns the
-    good rows' table, lines and ``fn`` results.
+    good rows and their ``fn`` results.
     """
     results, bad_idx, bad_err = [], [], []
-    for i, line in enumerate(lines.to_pylist()):
+    for i, line in enumerate(rows.lines.to_pylist()):
         try:
             results.append(fn(line))
         except Exception as e:
@@ -374,16 +486,18 @@ def _map_payloads(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig,
 
         bad = pa.array(bad_idx)
         quarantine_rows(
-            pa.table({"doc_id": tbl["doc_id"].combine_chunks().take(bad),
-                      "source": tbl["source"].combine_chunks().take(bad),
-                      "payload": lines.take(bad)}),
+            pa.table({"doc_id": rows.block.doc_id.take(
+                          pa.array(rows.idx[bad_idx])),
+                      "source": rows.source.take(bad),
+                      "payload": rows.lines.take(bad)}),
             bad_err, cfg.quarantine_dir)
-        good = pa.array(np.setdiff1d(np.arange(len(tbl)), bad_idx))
-        tbl, lines = tbl.take(good), lines.take(good)
-    return tbl, lines, results
+        rows = rows.take(np.setdiff1d(np.arange(len(rows)), bad_idx))
+    return rows, results
 
 
-def _parse_performance(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Table:
+def _parse_performance(
+    rows: _Rows, cfg: PipelineConfig
+) -> tuple[np.ndarray, dict[str, pa.Array]]:
     """json_iter + makeJsonFields branch (one row per performance.json).
 
     Per row, only the JSON decode, the flattening and a type check run
@@ -405,22 +519,23 @@ def _parse_performance(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> p
                 f"report.timestamp is {type(ts).__name__}, not str")
         return ts, flat
 
-    tbl, lines, rows = _map_payloads(tbl, lines, cfg, one)
-    build, fname, line_no = _split_doc_id(tbl)
-    message = extract_messages(lines)  # doc_iter also runs for perf docs
-    ts = extract_timestamps(pa.array([r[0] for r in rows], type=pa.string()),
-                            cfg.today_year)
-    out = _finalize(tbl, {
-        "build_uuid": build, "filename": fname, "line_no": line_no,
+    rows, results = _map_payloads(rows, cfg, one)
+    message = extract_messages(rows.lines)  # doc_iter also runs for perf docs
+    ts = extract_timestamps(
+        pa.array([r[0] for r in results], type=pa.string()), cfg.today_year)
+    cols = {
+        **rows.cols(),
         "ts": ts.fill_null(cfg.fallback_now),
-        "severity": pa.array([SEVERITY_NONE] * len(tbl)),
+        "severity": pa.array([SEVERITY_NONE] * len(rows)),
         "message": message,
-        "perf_fields": pa.array([r[1] for r in rows], type=pa.string()),
-    }, received_at=cfg.received_at)
-    return out.filter(pc.not_equal(out["message"].combine_chunks(), ""))
+        "perf_fields": pa.array([r[1] for r in results], type=pa.string()),
+    }
+    return _select(rows, cols, _mask(pc.not_equal(message, "")))
 
 
-def _parse_subunit(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Table:
+def _parse_subunit(
+    rows: _Rows, cfg: PipelineConfig
+) -> tuple[np.ndarray, dict[str, pa.Array]]:
     """subunit_iter branch (logsender.py:447-464) over pre-parsed test rows.
 
     Binary subunit stream decoding needs subunit2sql (not available);
@@ -443,18 +558,17 @@ def _parse_subunit(tbl: pa.Table, lines: pa.Array, cfg: PipelineConfig) -> pa.Ta
                 float("%d.%d" % (delta.seconds, delta.microseconds)),
                 start.replace(microsecond=0))  # %S precision
 
-    tbl, _, rows = _map_payloads(tbl, lines, cfg, one)
+    rows, results = _map_payloads(rows, cfg, one)
     names, statuses, durations, ts_list = (
-        [r[k] for r in rows] for k in range(4))
-    build, fname, line_no = _split_doc_id(tbl)
-    return _finalize(tbl, {
-        "build_uuid": build, "filename": fname, "line_no": line_no,
+        [r[k] for r in results] for k in range(4))
+    return rows.idx, {
+        **rows.cols(),
         "ts": pa.array(ts_list, type=pa.timestamp("us")),
-        "severity": pa.array([SEVERITY_NONE] * len(tbl)),
+        "severity": pa.array([SEVERITY_NONE] * len(rows)),
         "test_name": pa.array(names, type=pa.string()),
         "test_status": pa.array(statuses, type=pa.string()),
         "test_duration": pa.array(durations, type=pa.float64()),
-    }, received_at=cfg.received_at)
+    }
 
 
 def make_parse_fn(cfg: PipelineConfig):
@@ -470,27 +584,21 @@ def make_parse_fn(cfg: PipelineConfig):
         else:  # raw text rows from sources/textlog.py
             lines = batch["line"].combine_chunks()
             batch = batch.drop_columns("line")
-        src = batch["source"].combine_chunks()
-        pieces = []
-        log_mask = pc.is_in(src, value_set=pa.array(LOGLINE_SOURCES))
-        perf_mask = pc.equal(src, "performance")
-        sub_mask = pc.equal(src, "subunit")
-        for mask, fn in ((log_mask, _parse_loglines),
-                         (perf_mask, _parse_performance),
-                         (sub_mask, _parse_subunit)):
-            idx = np.nonzero(mask.to_numpy(zero_copy_only=False))[0]
-            if len(idx) == len(batch):
-                pieces.append(fn(batch, lines, cfg))
-            elif len(idx):
-                pieces.append(fn(batch.take(idx), lines.take(pa.array(idx)),
-                                 cfg))
-        if not pieces:
-            schema = PARSED_SCHEMA
-            for name in batch.column_names:
-                if name.startswith("_"):
-                    schema = schema.append(
-                        pa.field(name, batch.schema.field(name).type))
-            return schema.empty_table()
-        return pa.concat_tables(pieces)
+        rows = _block_rows(batch, lines)
+        # broken files are skipped unread (logsender.py:527-530)
+        unbroken = np.ones(len(rows), dtype=bool)
+        for name in BROKEN_FILES:
+            unbroken &= ~_mask(pc.ends_with(rows.filename, name))
+        parts = []
+        for mask, fn in (
+                (pc.is_in(rows.source, value_set=pa.array(LOGLINE_SOURCES)),
+                 _parse_loglines),
+                (pc.equal(rows.source, "performance"), _parse_performance),
+                (pc.equal(rows.source, "subunit"), _parse_subunit)):
+            sel = np.flatnonzero(_mask(mask) & unbroken)
+            if len(sel):
+                parts.append(fn(rows if len(sel) == len(rows)
+                                else rows.take(sel), cfg))
+        return _assemble(batch, parts, cfg.received_at)
 
     return parse

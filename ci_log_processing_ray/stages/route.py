@@ -2,14 +2,15 @@
 
 Re-expresses send_to_es's endswith routing (logsender.py:467-490):
 ``performance.json`` -> performance index, ``*.subunit`` -> subunit index,
-everything else -> the main logstash index; plus the hard skips:
-``testrepository.subunit.gz`` is broken and always dropped
-(logsender.py:527-530).  Index names are ``prefix + YYYY.MM.DD``
-(get_index, logsender.py:563-589) with the date pinned in PipelineConfig.
+everything else -> the main logstash index.  Index names are
+``prefix + YYYY.MM.DD`` (get_index, logsender.py:563-589) with the date
+pinned in PipelineConfig.  Route drops no row: the reference's hard skip
+of a broken file (``config.BROKEN_FILES``, logsender.py:527-530) happens
+in the parse stage, before the file's rows are decoded.
 
-The sink is a plain string column -- the downstream writer partitions on
-it (write_parquet(partition_cols=["sink"])), which is the Parquet
-equivalent of per-index bulk inserts (S12/S13).
+The sink is a plain string column appended to the batch, no row copied
+-- the downstream writer partitions on it (one file per sink), which is
+the Parquet equivalent of per-index bulk inserts (S12/S13).
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ def make_route_fn(cfg: PipelineConfig):
     subunit_index = cfg.subunit_index_name()
 
     def route(batch: pa.Table) -> pa.Table:
-        fname = batch["filename"].combine_chunks()
-        broken = pc.ends_with(fname, "testrepository.subunit.gz")
-        batch = batch.filter(pc.invert(broken))
-        fname = batch["filename"].combine_chunks()
+        fname = batch["filename"]
         is_perf = pc.ends_with(fname, "performance.json")
         is_sub = pc.ends_with(fname, ".subunit")
         sink = pc.if_else(

@@ -212,6 +212,25 @@ def test_simhash_domain_guard_fires_on_wordless_doc(tmp_path):
             entrymod.q_simhash(str(tmp_path))
 
 
+def test_simhash_oracle_splits_words_like_the_engine():
+    # One document per str.isspace() code point, each separating three
+    # ASCII words: the SQL oracle must hash every one as the engine does.
+    import duckdb
+    import pyarrow as pa
+
+    from ci_log_processing_ray.ops.dedup import _simhash_batch
+
+    spaces = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+    assert len(spaces) == 29
+    texts = [f"alpha{ws}beta{ws}{ws}gamma" for ws in spaces]
+    documents = pa.table({  # noqa: F841 -- the SQL reads it by name
+        "doc_id": pa.array(range(1, 30), pa.int64()),
+        "text": pa.array(texts, pa.string())})
+    want = _simhash_batch(texts, seed=11).astype(np.int64).tolist()
+    got = duckdb.sql(entrymod._SIMHASH_ORACLE).fetchall()
+    assert [(d, h) for d, h, _ in got] == list(zip(range(1, 30), want))
+
+
 def test_winnow_gate_fires_without_planting(ray_session, monkeypatch):
     monkeypatch.setattr(entrymod, "_plant_dup_texts", lambda ds: ds)
     with pytest.raises(AssertionError, match="winnow"):

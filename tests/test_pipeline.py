@@ -13,7 +13,11 @@ import pytest
 from conftest import read_routed
 
 from ci_log_processing_ray import reference_impl as ref
-from ci_log_processing_ray.config import DEFAULT_FILE_CONFIG, PipelineConfig
+from ci_log_processing_ray.config import (
+    BROKEN_FILES,
+    DEFAULT_FILE_CONFIG,
+    PipelineConfig,
+)
 from ci_log_processing_ray.pipelines.flagship import (
     build_tick,
     make_block_fn,
@@ -423,6 +427,76 @@ def test_drop_debug_severity_matches_reference(ray_session, corpus_dir):
         sorted(tuple(r[k] for k in key) for r in want)
 
 
+def test_broken_subunit_file_is_skipped_unread(tmp_path):
+    """A broken file's rows (``config.BROKEN_FILES``) are skipped before
+    any branch decodes them, as the reference skips the file unread: an
+    undecodable payload there neither fails the block nor is
+    quarantined, and only the other file's row is routed."""
+    from ci_log_processing_ray.stages.parse import make_parse_fn
+    from ci_log_processing_ray.stages.route import make_route_fn
+
+    tbl = pa.table({
+        "doc_id": ["b1/testrepository.subunit.gz/000000",
+                   "b1/job-output.txt/000000"],
+        "line": ["\x00\x01 not json", "2024-01-01 00:00:00.000 | hello"],
+        "n_tok": [3, 4],
+        "source": ["subunit", "console"],
+    })
+    qdir = tmp_path / "quarantine"
+    for cfg in (PipelineConfig(), PipelineConfig(quarantine_dir=str(qdir))):
+        out = make_route_fn(cfg)(make_parse_fn(cfg)(tbl))
+        assert out["doc_id"].to_pylist() == ["b1/job-output.txt/000000"]
+        assert out["sink"].to_pylist() == [cfg.index_name()]
+        assert out["message"].to_pylist() == ["hello"]
+    assert not qdir.exists() or not os.listdir(qdir)
+
+
+def _one_file_block(corpus_dir):
+    """The first log file of the fixture corpus as a batch-tick block."""
+    _, info = corpus_dir
+    path = info["paths"]["token_sequences"]
+    table = pq.read_table(path)
+    ids = table["doc_id"].to_pylist()
+    head = ids[0].rsplit("/", 1)[0]
+    n = sum(1 for d in ids if d.rsplit("/", 1)[0] == head)
+    block = table.slice(0, n)
+    assert n > 1 and len(set(block["source"].to_pylist())) == 1
+    return path, block.append_column("path", pa.array([path] * n))
+
+
+@pytest.mark.parametrize("cfg", [CFG, LOGSTASH_CFG],
+                         ids=["flagship", "logstash"])
+def test_block_fn_copies_wide_rows_at_most_twice(ray_session, corpus_dir,
+                                                 tmp_path, monkeypatch, cfg):
+    """Copy census of one block through the block function: the tables
+    that hold the wide ``tokens`` column are gathered at most twice, once
+    by the parse and once by the writer.  ``pa.Table.take`` and
+    ``pa.Table.filter`` dispatch to ``pyarrow.compute.take`` and
+    ``pyarrow.compute.filter``, so patching those counts both."""
+    import pyarrow.compute as pc
+
+    path, block = _one_file_block(corpus_dir)
+    meta = load_build_meta(corpus_dir[1]["paths"]["build_meta"])
+    fn = make_block_fn(cfg, meta, DEFAULT_FILE_CONFIG, str(tmp_path),
+                       [path], ["p"])
+    wide = []
+
+    def counting(real):
+        def call(data, *args, **kwargs):
+            if isinstance(data, (pa.Table, pa.RecordBatch)) and \
+                    "tokens" in data.column_names:
+                wide.append(real.__name__)
+            return real(data, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pc, "take", counting(pc.take))
+    monkeypatch.setattr(pc, "filter", counting(pc.filter))
+    partials = fn(block)
+    monkeypatch.undo()
+    assert int(pc.sum(partials["doc_count"]).as_py()) > 0
+    assert len(wide) <= 2, wide
+
+
 def test_compact_routed_layout_and_idempotency(ray_session, tmp_path):
     """Compaction must (a) preserve every row per sink, (b) reduce the
     file count to the FFD bin count, (c) respect target_bytes, and
@@ -661,7 +735,11 @@ def test_flagship_quarantine_e2e(ray_session, tmp_path, poison_source):
     # poison one JSON-branch row: swap its tokens for a console line's
     # (detokenizes to a log line, not JSON -> json.loads raises)
     src = t["source"].to_pylist()
-    bad_idx = src.index(poison_source)
+    ids = t["doc_id"].to_pylist()
+    # a row of a file the pipeline reads: a broken file is skipped unread
+    bad_idx = next(i for i, (s, d) in enumerate(zip(src, ids))
+                   if s == poison_source
+                   and not d.rsplit("/", 1)[0].endswith(BROKEN_FILES))
     log_idx = src.index("console")
     toks = t["tokens"].to_pylist()
     ntok = t["n_tok"].to_pylist()

@@ -313,3 +313,35 @@ def test_logdate_iso8601_renders_its_instant(items):
     texts = [t for t, _ in items]
     got = normalize_logdate(pa.array(texts, type=pa.string()), 1900)
     assert got.to_pylist() == [w for _, w in items], texts
+
+
+# the doc_id grammar the parse stage splits: build/filename/line_no
+DOC_ID_RE = r"^(?P<build_uuid>[^/]+)/(?P<filename>.+)/(?P<line_no>[0-9]+)$"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.none(),
+                          st.text(alphabet="a/09\né٣+ ", max_size=12)),
+                min_size=1, max_size=16))
+@example(["b/f/1", "/f/1", "b//1", "b/f/", "b/f\n/1", "b\n/f/1", "b/f/1\n",
+          "b///1", "b/f/٣", "b/a/b/01", "b/f/+1", None, "", "/"])
+def test_split_doc_id_equals_regex_extract(doc_ids):
+    """The two-split doc_id kernel gives the regex's build, filename and
+    line number on every row, and its file id is ``build/filename``;
+    null exactly where the regex does not match."""
+    import pyarrow.compute as pc
+
+    from ci_log_processing_ray.stages.parse import split_doc_id
+
+    arr = pa.array(doc_ids, type=pa.string())
+    parts = pc.extract_regex(arr, pattern=DOC_ID_RE)
+    want_build = pc.struct_field(parts, "build_uuid").to_pylist()
+    want_fname = pc.struct_field(parts, "filename").to_pylist()
+    want_line = pc.cast(pc.struct_field(parts, "line_no"),
+                        pa.int32()).to_pylist()
+    build, fname, line_no, fid = split_doc_id(arr)
+    assert build.to_pylist() == want_build, doc_ids
+    assert fname.to_pylist() == want_fname, doc_ids
+    assert line_no.to_pylist() == want_line, doc_ids
+    assert fid.to_pylist() == [None if b is None else f"{b}/{f}"
+                               for b, f in zip(want_build, want_fname)]
