@@ -1,34 +1,38 @@
 """Flagship pipeline: read -> parse -> enrich -> route -> write + count.
 
-The Ray-Data-native equivalent of logscraper+logsender end to end
-(SURVEY.md section 3 "Rebuild lifecycle"):
+The Ray equivalent of logscraper+logsender end to end (SURVEY.md
+section 3 "Rebuild lifecycle"):
 
     1. plan: anti-join pending input files vs committed manifests (J4/ST1)
-    2. read the pending files, one Arrow block per file        [source]
-    3-6. ONE block function (``make_block_fn``) per Arrow block:
+    2. one Ray task per pending file, largest first, reads the file
+       whole into one Arrow block                               [source]
+    3-6. the task applies ONE block function (``make_block_fn``):
        partition id -> parse [M1-M8, 2.9] -> enrich (broadcast
        build_meta + file config) [J1/J2] -> route (sink = dated index
        name) [S12/S13] -> per-sink Parquet write into a staged batch
        dir; its per-(partition, sink, severity) count partials are
-       the block's only output (A2)
+       the task's only output (A2), consumed as tasks complete
     7. rename each partition into place, then commit its
        lineage manifest (idempotent commit)
     8. nothing more: the partition manifests (with the batch digest)
        are the run's only record; ``/metrics`` folds them  [ST5/A1]
 
 The block function (3-6) and the tail (``write_and_commit``, 7-8) are
-shared with the live pipeline (pipelines/live.py), which differs only in
-its source and its build-uuid partition ids.
+shared with fill_mode="grouped", which reads and regroups the files
+with Ray Data (a shuffle), and with the live pipeline
+(pipelines/live.py), whose source is a Ray Data actor-pool fetch keyed
+by build uuid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -37,7 +41,7 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data
-from ray.data.datasource import FileBasedDatasource
+from ray.exceptions import RaySystemError
 
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
 from ..sources.readers import load_build_meta
@@ -98,8 +102,8 @@ def make_fanout_writer(staging_dir: str,
             return _PARTIAL_SCHEMA.empty_table()
         # ONE stable sort by (partition, sink) and ONE take; each
         # (partition, sink) file is then a zero-copy slice, its rows in
-        # block order.  One read task per input file means a batch is
-        # normally a single partition; mixed batches take the same path.
+        # block order.  One task per input file means a block is
+        # normally a single partition; mixed blocks take the same path.
         part = t["_partition"].combine_chunks().to_numpy(zero_copy_only=False)
         sink_enc = t["sink"].combine_chunks().dictionary_encode()
         sinks = sink_enc.dictionary.to_pylist()
@@ -208,25 +212,56 @@ def _in_file_order(t: pa.Table) -> pa.Table:
     return t.take(order).drop_columns(["_file", "_line"])
 
 
-class _WholeFileParquet(FileBasedDatasource):
-    """A Parquet source whose read task emits ONE block per file.
+@ray.remote(max_retries=-1, retry_exceptions=[RaySystemError],
+            scheduling_strategy="SPREAD")
+def _file_task(block: Callable[[pa.Table], pa.Table], path: str) -> pa.Table:
+    """One batch-tick task: the block function over ``path`` read whole.
 
-    Ray's own Parquet read emits a block per row group, and a map fused
-    with the read is called once per block: the block function would
-    then pay its per-call costs (and write one file per sink) once per
-    row group instead of once per file.
+    The remote options are those of a Ray Data map task (retry a dead
+    worker or a system error without limit; spread over the nodes), so
+    a worker death mid-tick re-runs the file, and the writer's
+    deterministic file names make the re-run overwrite its own output.
     """
+    t = pq.read_table(path, use_threads=False)
+    return block(t.append_column("path", pa.repeat(path, len(t))))
 
-    _FILE_EXTENSIONS = ["parquet"]
 
-    def get_name(self) -> str:
-        return "Parquet"
+def _file_partials(paths: Sequence[str], block) -> Iterator[pa.Table]:
+    """The batch tick: one ``_file_task`` per input file, yielding each
+    file's count partials as its task completes.
 
-    def _open_input_source(self, filesystem, path: str, **open_args):
-        return filesystem.open_input_file(path, **open_args)
+    Files are submitted LARGEST FIRST (LPT order), so a hot build's
+    3-4x-mean task starts in the first wave instead of anchoring the
+    last; partition ids key on the PATH, so the output does not depend
+    on the order.  At most two tasks per cluster CPU are in flight: one
+    running, one queued behind it.  The block function is put in the
+    object store once per tick and shared by every task.
 
-    def _read_stream(self, f, path: str):
-        yield pq.read_table(f, use_threads=False)
+    If a task raises, or the consumer stops early, the tasks still in
+    flight are cancelled and awaited before the error propagates: no
+    task of a failed tick is left writing into the staging dir that the
+    next tick clears and reuses.
+    """
+    todo = iter(sorted(paths, key=os.path.getsize, reverse=True))
+    window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    block_ref = ray.put(block)
+
+    def submit(n: int) -> list[ray.ObjectRef]:
+        return [_file_task.remote(block_ref, p)
+                for p in itertools.islice(todo, n)]
+
+    in_flight = submit(window)
+    try:
+        while in_flight:
+            [done], in_flight = ray.wait(in_flight, num_returns=1)
+            in_flight += submit(1)
+            yield ray.get(done)
+    except BaseException:
+        for ref in in_flight:
+            ray.cancel(ref)
+        if in_flight:
+            ray.wait(in_flight, num_returns=len(in_flight))
+        raise
 
 
 def build_tick(
@@ -235,54 +270,39 @@ def build_tick(
     cfg: PipelineConfig,
     staging_dir: str,
     file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
-) -> ray.data.Dataset:
-    """The lazy plan of one batch tick (nothing runs here): the read,
-    then the block function, whose output rows are the count partials
-    of the files it writes under ``staging_dir``.
+) -> Iterable[pa.Table]:
+    """One tick's count partials, computed as they are consumed: the
+    block function over every input file, writing under ``staging_dir``.
 
-    One read task and one block per input file (``_WholeFileParquet``,
-    ``override_num_blocks`` = file count): Ray then never splits a file
-    into arbitrary row ranges -- the layout contract of the batch-local
-    carry-forward (a finer override_num_blocks makes Ray split blocks
-    MID-FILE at row granularity).  At corpus scale the
-    file count (not intra-file splitting) supplies the read
-    parallelism; skew is handled at the LAYOUT level, the corpus writer
-    spreading a hot build's files across shards.
+    fill_mode="batch" runs ONE Ray task per file (``_file_partials``),
+    which reads the file whole: the block function sees each file once,
+    in its stored order (the layout contract of the batch-local
+    carry-forward), and writes one file per sink.  The file count
+    supplies the parallelism.  No Ray Data plan is built: a one-operator
+    plan with KB-sized outputs would add only the executor's fixed cost
+    (plan, topology, executor thread, stats actor) to every tick.
 
-    fill_mode="batch" maps the block function over the read: the block
-    keeps Ray's default CPU request, so the read fuses with it into ONE
-    task operator (a separate ReadParquet operator ships the whole
-    decoded corpus through the object store; measured 2.97 s -> 2.30 s
-    at sf0.1/32 CPUs once fused).  fill_mode="grouped" restores the
-    parse layout contract for any layout: one bucketed exchange on the
+    fill_mode="grouped" restores the parse layout contract for any
+    layout: Ray Data reads the files, one bucketed exchange on the
     (build/filename) file key lands each file whole in one bucket, and
     the bucket kernel is the block function over the bucket sorted by
     (file, line_no).
     """
     paths = list(input_paths)
-    # LPT order: feed the read LARGEST FILE FIRST so a hot build's
-    # 3-4x-mean task starts in wave 1 instead of anchoring the final
-    # wave (classic longest-processing-time makespan fix; partition
-    # ids key on the PATH, so output layout and manifests are
-    # byte-identical).
-    read_order = sorted(paths, key=os.path.getsize, reverse=True)
-    ds = ray.data.read_datasource(
-        _WholeFileParquet(read_order, include_paths=True),
-        override_num_blocks=len(paths))
     block = make_block_fn(cfg, meta, file_config, staging_dir, paths,
                           [partition_id(p) for p in paths])
     if cfg.fill_mode == "batch":
-        return ds.map_batches(block, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
+        return _file_partials(paths, block)
     if cfg.fill_mode != "grouped":
         raise ValueError(cfg.fill_mode)
     from ..ops.window import bucketed_groups
 
-    keyed = ds.map_batches(_add_file_key, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return bucketed_groups(keyed, "_file",
-                           lambda t: block(_in_file_order(t)),
-                           kernel_format="pyarrow")
+    keyed = ray.data.read_parquet(paths, include_paths=True).map_batches(
+        _add_file_key, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed_groups(
+        keyed, "_file", lambda t: block(_in_file_order(t)),
+        kernel_format="pyarrow",
+    ).iter_batches(batch_format="pyarrow", batch_size=None)
 
 
 _PARTIAL_KEYS = ["_partition", "sink", "severity"]
@@ -333,7 +353,7 @@ def summarize_partials(
 
 
 def write_and_commit(
-    plan: Callable[[str], ray.data.Dataset],
+    plan: Callable[[str], Iterable[pa.Table]],
     out_dir: str,
     store: ManifestStore,
     pid_names: Sequence[str],
@@ -346,8 +366,12 @@ def write_and_commit(
     per-partition rename -> manifest commit.  The manifests, each
     carrying the batch digest, are the tick's only record.
 
-    ``plan(staging_dir)`` is the tick's lazy Dataset of count partials
-    from the block function writing under ``staging_dir``; partial
+    ``plan(staging_dir)`` is the tick's iterable of count partial
+    tables from the block function writing under ``staging_dir``, all
+    written once the iterable is exhausted: the batch tick's task
+    results, or a Ray Data plan's ``iter_batches`` (grouped mode and the
+    live pipeline; not ``to_arrow_refs``, which fetches the schema by
+    running the whole chain again on one block).  Partial
     ``_partition`` = i is the partition whose stable id is
     ``pid_names[i]`` and whose lineage input is ``input_paths[i]``.
     Idempotent AND duplicate-free across partial failures: a
@@ -368,10 +392,7 @@ def write_and_commit(
     os.makedirs(staging_dir)
     os.makedirs(routed_root, exist_ok=True)
     # single streaming pass: per-sink fan-out write + count partials out
-    # iter_batches, not to_arrow_refs: the latter fetches the schema by
-    # running the whole chain again on one block (Dataset.limit(1))
-    blocks = [t for t in plan(staging_dir).iter_batches(
-        batch_format="pyarrow", batch_size=None) if len(t)]
+    blocks = [t for t in plan(staging_dir) if len(t)]
     partials = (pa.concat_tables(blocks) if blocks
                 else _PARTIAL_SCHEMA.empty_table())
     summaries, counts = summarize_partials(partials, len(pid_names))

@@ -117,7 +117,9 @@ def run_live(
         block = make_block_fn(cfg, meta, file_config, staging_dir, uuids,
                               pid_names, key_of=_uuid_key)
         return rows.map_batches(block, batch_format="pyarrow",
-                                batch_size=None, zero_copy_batch=True)
+                                batch_size=None, zero_copy_batch=True
+                                ).iter_batches(batch_format="pyarrow",
+                                               batch_size=None)
 
     return write_and_commit(
         plan, out_dir, store, pid_names, [f"zuul://{u}" for u in uuids],

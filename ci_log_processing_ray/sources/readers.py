@@ -1,10 +1,10 @@
 """Corpus readers: the build_meta lookup side of the enrichment join
 and a stripe-parallel ORC ingest.
 
-The flagship reads its log parquet through
-``pipelines/flagship.py:_WholeFileParquet`` (one read task per file);
-resume filtering (the BuildCache anti-join, logscraper.py:457-468)
-happens on the file list before the read via state/manifest.py.
+The flagship's batch tick reads each log parquet file whole inside its
+per-file Ray task (``pipelines/flagship.py:_file_task``); resume
+filtering (the BuildCache anti-join, logscraper.py:457-468) happens on
+the file list before the read via state/manifest.py.
 """
 
 from __future__ import annotations

@@ -28,13 +28,13 @@ LAYOUT CONTRACT: within a block, each log file's rows form one contiguous
 run in strictly increasing line order, and a block that starts mid-file
 must not need the earlier rows' scan state.  The parse raises
 ``ValueError`` when a block breaks the contract.  fill_mode="batch" (the
-100 TB path) parses whole blocks where they lie: the contract holds when
-the upstream writer emits parquet row groups that do not split files (our
-corpus writer emits one row group per build) and each file is one read
-task.  fill_mode="grouped" (``pipelines/flagship.build_tick``) restores
-the contract for any layout: one bucketed exchange on the
-(build/filename) file key and a (file, line_no) sort per bucket, then the
-same parse.
+100 TB path) parses each input file whole, as one block, in one Ray task
+(``pipelines/flagship._file_task``): the contract holds when the upstream
+writer keeps each log file's rows contiguous and in line order within a
+parquet file (our corpus writer does).  fill_mode="grouped"
+(``pipelines/flagship.build_tick``) restores the contract for any
+layout: one bucketed exchange on the (build/filename) file key and a
+(file, line_no) sort per bucket, then the same parse.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ def _mask(arr) -> np.ndarray:
 class _Block:
     """Per-block inputs that row selections index into."""
     doc_id: pa.Array
-    fid: pa.Array
     n_tok: Optional[np.ndarray]
 
 
@@ -177,12 +176,21 @@ class _Rows:
 
 
 def _block_rows(batch: pa.Table, lines: pa.Array) -> _Rows:
+    """Every row of the block, its doc_id split once.  A doc_id that does
+    not split has no file, so no scan state and no sink: the block fails
+    with the first one named, on every branch."""
     doc_id = batch["doc_id"].combine_chunks()
     build, fname, line_no, fid = split_doc_id(doc_id)
-    fcode = fid.dictionary_encode(null_encoding="encode").indices
+    if fid.null_count:
+        bad = doc_id[pc.index(pc.is_null(fid), True).as_py()].as_py()
+        raise ValueError(
+            f"doc_id {bad!r} does not split into build/filename/line_no "
+            "(a non-empty build, a non-empty filename without a newline, "
+            "and ASCII digits after the last '/')")
+    fcode = fid.dictionary_encode().indices
     n_tok = (batch["n_tok"].combine_chunks().to_numpy(zero_copy_only=False)
              if "n_tok" in batch.column_names else None)
-    return _Rows(_Block(doc_id, fid, n_tok), np.arange(len(batch)), lines,
+    return _Rows(_Block(doc_id, n_tok), np.arange(len(batch)), lines,
                  batch["source"].combine_chunks(), build, fname, line_no,
                  fcode.to_numpy(zero_copy_only=False))
 
@@ -191,23 +199,15 @@ def _assemble(batch: pa.Table, parts: list[tuple[np.ndarray, dict]],
               received_at=None) -> pa.Table:
     """The PARSED_SCHEMA table of the branches' output rows, in order.
 
-    Each part is (block row positions, computed columns).  A row whose
-    doc_id did not split has no file, so no sink: it is dropped here.
-    The input columns (doc_id, tokens, n_tok, source and every column
+    Each part is (block row positions, computed columns).  The input
+    columns (doc_id, tokens, n_tok, source and every column
     whose name starts with ``_``, e.g. the lineage partition id) are
     gathered from ``batch`` in ONE take; a part's computed column of the
     same name (n_tok of a multiline event) replaces it for that part.
     ``received_at`` (a datetime) broadcasts to every row -- the conf
     adds it in every grok block.
     """
-    kept = []
-    for idx, cols in parts:
-        if cols["filename"].null_count:
-            ok = cols["filename"].is_valid()
-            idx = idx[_mask(ok)]
-            cols = {k: v.filter(ok) for k, v in cols.items()}
-        kept.append((idx, cols))
-    idx = np.concatenate([p[0] for p in kept] or [np.arange(0)])
+    idx = np.concatenate([p[0] for p in parts] or [np.arange(0)])
     n = len(idx)
     if n == len(batch) and (idx == np.arange(n)).all():
         wide = batch
@@ -215,13 +215,13 @@ def _assemble(batch: pa.Table, parts: list[tuple[np.ndarray, dict]],
         wide = batch.take(pa.array(idx))
     out = {}
     for name, typ in PARSED_FIELDS:
-        if any(name in cols for _, cols in kept):
+        if any(name in cols for _, cols in parts):
             out[name] = pa.chunked_array([
                 (cols[name] if name in cols
                  else batch[name].take(pa.array(i))
                  if name in batch.column_names
                  else pa.nulls(len(i), typ)).cast(typ)
-                for i, cols in kept], type=typ)
+                for i, cols in parts], type=typ)
         elif name in batch.column_names:
             out[name] = wide[name]
         elif name == "received_at" and received_at is not None:
@@ -346,7 +346,7 @@ def _parse_loglines(
     # Does the block start mid-file?  Decided on the first INPUT row: a
     # block holding a file's line 0 holds its whole scan state, whatever
     # the drop rules below remove from the file's head.
-    head_file, head_line = rows.doc_id(0).rsplit("/", 1)
+    head_fcode, head_line = rows.fcode[0], rows.line_no[0].as_py()
     lines, src = rows.lines, rows.source
     # --- drop rules that do not depend on scan state ---------------------
     keep = np.ones(len(rows), dtype=bool)
@@ -373,8 +373,8 @@ def _parse_loglines(
     _check_layout(rows, seg)
     # the head checks below concern the first kept file only when it is
     # the file the block started in mid-file
-    mid_head = (bool(len(rows)) and int(head_line) > 0
-                and rows.block.fid[int(rows.idx[0])].as_py() == head_file)
+    mid_head = (bool(len(rows)) and head_line > 0
+                and rows.fcode[0] == head_fcode)
 
     n_tok = None
     if cfg.multiline_join and len(rows):

@@ -47,3 +47,15 @@ def read_routed(root):
         assert set(t["sink_name"].to_pylist()) == {sink}, f
         rows.extend(dict(r, sink=sink) for r in t.to_pylist())
     return rows
+
+
+def tree_bytes(root):
+    """Every file under ``root``: its path relative to ``root`` -> bytes."""
+    import os
+
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out

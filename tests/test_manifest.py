@@ -179,7 +179,8 @@ def test_write_and_commit_on_an_empty_dataset(ray_session, tmp_path):
     store = ManifestStore(os.path.join(out, "manifests"))
     res = write_and_commit(
         lambda staging: routed.map_batches(
-            make_fanout_writer(staging, ["a", "b"]), batch_format="pyarrow"),
+            make_fanout_writer(staging, ["a", "b"]), batch_format="pyarrow",
+        ).iter_batches(batch_format="pyarrow", batch_size=None),
         out, store, ["a", "b"], ["/in/a", "/in/b"])
 
     assert [(m.partition_id, m.row_count, m.per_sink_counts, m.token_checksum)

@@ -8,9 +8,10 @@ import os
 import tempfile
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
-from conftest import read_routed
+from conftest import read_routed, tree_bytes
 
 from ci_log_processing_ray import reference_impl as ref
 from ci_log_processing_ray.config import (
@@ -19,7 +20,6 @@ from ci_log_processing_ray.config import (
     PipelineConfig,
 )
 from ci_log_processing_ray.pipelines.flagship import (
-    build_tick,
     make_block_fn,
     run_pipeline,
 )
@@ -384,28 +384,101 @@ def test_partial_failure_resume(ray_session, corpus_dir, tmp_path):
     assert ondisk == sum(want.values())
 
 
-def test_flagship_plan_fuses_read(ray_session, corpus_dir, tmp_path):
-    """The batch tick plan is the read plus ONE map, the block function
-    (parse -> enrich -> route -> fan-out write), fused into one operator
-    because the block keeps Ray's default CPU request.  A separate
-    ReadParquet operator would re-ship the whole decoded corpus through
-    the object store (measured 2.97 -> 2.30 s at sf0.1/32 when fusion
-    landed).  Guard the plan shape, not timings."""
+def _build_aligned_shards(table, tmp_path, groups):
+    """``table`` cut into one file per group of builds, each file holding
+    its builds' rows in their stored order, so no log file is split."""
+    build = pc.struct_field(pc.extract_regex(
+        table["doc_id"], pattern=r"^(?P<b>[^/]+)/"), "b")
+    builds = sorted(set(build.to_pylist()))
+    paths, lo = [], 0
+    for name, n in groups:
+        keep = pc.is_in(build, value_set=pa.array(builds[lo:lo + n]))
+        lo += n
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(table.filter(keep), path, row_group_size=64)
+        paths.append(path)
+    assert lo == len(builds)
+    return paths
+
+
+def test_batch_tick_calls_block_once_per_file(ray_session, corpus_dir,
+                                              tmp_path, monkeypatch):
+    """A batch tick runs the block function once per input FILE, not
+    once per row group: each partition writes one file per sink.  The
+    files are submitted largest first, whatever their path order."""
+    from ci_log_processing_ray.pipelines import flagship
+
     _, info = corpus_dir
+    table = pq.read_table(info["paths"]["token_sequences"])
+    (tmp_path / "in").mkdir()
+    # path order a, b, c; size order c, a, b
+    paths = _build_aligned_shards(table, tmp_path / "in",
+                                  [("a", 3), ("c", 5), ("b", 2)])
+    sizes = {p: os.path.getsize(p) for p in paths}
+    assert all(pq.read_metadata(p).num_row_groups > 1 for p in paths)
+    submitted = []
+    real = flagship._file_task
+
+    class Spy:
+        def remote(self, block, path):
+            submitted.append(path)
+            return real.remote(block, path)
+
+    monkeypatch.setattr(flagship, "_file_task", Spy())
+    out = str(tmp_path / "out")
+    res = run_pipeline(paths, info["paths"]["build_meta"], out, CFG)
+
+    assert res.n_pending == 3
+    assert submitted == sorted(paths, key=sizes.get, reverse=True)
+    assert submitted != sorted(paths)
+    sink_dirs = glob.glob(os.path.join(out, "routed", "part-*", "sink=*"))
+    assert len({os.path.dirname(d) for d in sink_dirs}) == 3
+    assert all(len(os.listdir(d)) == 1 for d in sink_dirs), sink_dirs
+
+
+@pytest.mark.parametrize("cfg", [CFG, LOGSTASH_CFG],
+                         ids=["backfill", "logstash"])
+def test_run_pipeline_matches_in_process_block_fn(ray_session, corpus_dir,
+                                                  tmp_path, cfg):
+    """The batch tick adds nothing to the block function: run_pipeline's
+    routed tree is byte-identical to ``make_block_fn`` applied in this
+    process to each file read whole (``tools/routed_digest.py``'s
+    method), and each manifest carries ``summarize_partials`` of those
+    in-process partials."""
+    from ci_log_processing_ray.pipelines.flagship import summarize_partials
+    from ci_log_processing_ray.state.manifest import (
+        ManifestStore,
+        partition_id,
+    )
+
+    _, info = corpus_dir
+    (tmp_path / "in").mkdir()
+    paths = sorted(_build_aligned_shards(
+        pq.read_table(info["paths"]["token_sequences"]), tmp_path / "in",
+        [("s0", 4), ("s1", 3), ("s2", 3)]))
     meta = load_build_meta(info["paths"]["build_meta"])
-    ds = build_tick([info["paths"]["token_sequences"]], meta, CFG,
-                    str(tmp_path)).materialize()
-    ops = [line.split(":")[0].split(" ", 2)[-1]
-           for line in ds.stats().splitlines()
-           if line.startswith("Operator")]
-    read_ops = [o for o in ops if "ReadParquet" in o]
-    assert read_ops == ["ReadParquet->MapBatches(process_block)"], ops
-    assert sum(o.count("MapBatches") for o in ops) == 1, ops
-    # the block function runs once per input FILE, not once per row
-    # group: each partition writes one file per sink
-    assert pq.read_metadata(info["paths"]["token_sequences"]).num_row_groups > 1
-    sink_dirs = glob.glob(str(tmp_path / "part-*" / "sink=*"))
-    assert sink_dirs and all(len(os.listdir(d)) == 1 for d in sink_dirs)
+    out = str(tmp_path / "out")
+    run_pipeline(paths, meta, out, cfg)
+
+    staging = str(tmp_path / "staging")
+    pids = [partition_id(p) for p in paths]
+    block = make_block_fn(cfg, meta, DEFAULT_FILE_CONFIG, staging, paths,
+                          pids)
+    partials = []
+    for p in paths:
+        t = pq.read_table(p, use_threads=False)
+        partials.append(block(t.append_column("path", pa.array([p] * len(t)))))
+    want = tree_bytes(staging)
+    assert len(want) > len(paths)
+    assert tree_bytes(os.path.join(out, "routed")) == want
+
+    summaries, _ = summarize_partials(pa.concat_tables(partials), len(paths))
+    store = ManifestStore(os.path.join(out, "manifests"))
+    for pid, (row_count, per_sink, checksum) in zip(pids, summaries):
+        m = store.load(pid)
+        assert row_count > 0
+        assert (m.row_count, m.per_sink_counts, m.token_checksum) == \
+            (row_count, per_sink, checksum)
 
 
 def test_drop_debug_severity_matches_reference(ray_session, corpus_dir):
@@ -449,6 +522,38 @@ def test_broken_subunit_file_is_skipped_unread(tmp_path):
         assert out["sink"].to_pylist() == [cfg.index_name()]
         assert out["message"].to_pylist() == ["hello"]
     assert not qdir.exists() or not os.listdir(qdir)
+
+
+_PERF_PAYLOAD = '{"report": {"hostname": "h", "timestamp": "2024-01-01T00:00:00"}}'
+_SUBUNIT_PAYLOAD = '{"test_name": "t", "status": "success"}'
+
+
+@pytest.mark.parametrize("rows", [
+    [("b1/job-output.txt/x1", "2024-01-01 00:00:00.000 | a", "console"),
+     ("b1/job-output.txt/000001", "2024-01-01 00:00:01.000 | b", "console")],
+    [("b1/job-output.txt/000000", "2024-01-01 00:00:00.000 | a", "console"),
+     ("b1/job-output.txt/x1", "2024-01-01 00:00:01.000 | b", "console"),
+     ("b1/job-output.txt/000002", "2024-01-01 00:00:02.000 | c", "console"),
+     ("b1/job-output.txt/x2", "2024-01-01 00:00:03.000 | d", "console")],
+    [("b1/performance.json/000000", _PERF_PAYLOAD, "performance"),
+     ("b1/performance.json/x1", _PERF_PAYLOAD, "performance")],
+    [("b1/subunit.json/000000", _SUBUNIT_PAYLOAD, "subunit"),
+     ("b1/subunit.json/x1", _SUBUNIT_PAYLOAD, "subunit")],
+], ids=["logline-first", "logline-middle", "performance", "subunit"])
+def test_unsplittable_doc_id_raises_one_clear_error(rows):
+    """A doc_id that does not split into build/filename/line_no has no
+    file and no sink: the block fails with one ValueError naming the
+    first such doc_id, on every branch and wherever the row sits --
+    neither an unrelated error nor a silent drop."""
+    from ci_log_processing_ray.stages.parse import make_parse_fn
+
+    doc_ids, lines, sources = zip(*rows)
+    tbl = pa.table({"doc_id": list(doc_ids), "line": list(lines),
+                    "n_tok": [1] * len(rows), "source": list(sources)})
+    first_bad = next(d for d in doc_ids if "/x" in d)
+    with pytest.raises(ValueError) as err:
+        make_parse_fn(PipelineConfig())(tbl)
+    assert str(err.value).startswith(f"doc_id {first_bad!r} does not split")
 
 
 def _one_file_block(corpus_dir):

@@ -8,16 +8,21 @@ clean run: the same routed rows and per-sink counts, every manifest
 loadable, ``/metrics`` totals equal to the sum over the manifests, and
 no ``.staging`` dir left, even when the re-run has nothing pending.  No
 crash hook lives in library code: the tests patch the calls made outside
-the Ray workers with ``monkeypatch``.
+the Ray workers with ``monkeypatch``.  A fault INSIDE a worker rides in
+a test-side wrapper around the block function the driver ships to its
+tasks: a worker that dies mid-tick, and a task that raises.
 """
 
 import glob
 import os
+import time
 
 import pyarrow.parquet as pq
 import pytest
+from conftest import tree_bytes
 
 from ci_log_processing_ray.config import PipelineConfig
+from ci_log_processing_ray.pipelines import flagship
 from ci_log_processing_ray.pipelines.flagship import run_pipeline
 from ci_log_processing_ray.state.manifest import ManifestStore, partition_id
 from ci_log_processing_ray.state.monitoring import Monitoring
@@ -84,7 +89,8 @@ def _outcome(out):
     assert not os.path.exists(os.path.join(out, "metrics"))
     assert not os.path.exists(os.path.join(out, ".staging"))
     return {"rows": rows, "per_sink": per_sink,
-            "pids": sorted(m.partition_id for m in manifests)}
+            "pids": sorted(m.partition_id for m in manifests),
+            "routed": tree_bytes(os.path.join(out, "routed"))}
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +174,81 @@ def test_no_resume_crash_keeps_partition_pending(ray_session, three_inputs,
     with pytest.raises(Crash):
         run_pipeline(paths, meta, out, CFG, resume=False)
     assert run_pipeline(paths, meta, out, CFG).n_pending == 1
+    assert _outcome(out) == clean
+
+
+def _fault_in_block(monkeypatch, fault):
+    """Make every block function the driver ships call ``fault(block)``
+    before the real one.  The wrapper is a closure, so it is pickled by
+    value and runs in the Ray worker."""
+    real = flagship.make_block_fn
+
+    def make(*args, **kwargs):
+        block = real(*args, **kwargs)
+
+        def faulty(t):
+            fault(t)
+            return block(t)
+
+        return faulty
+
+    monkeypatch.setattr(flagship, "make_block_fn", make)
+
+
+def test_worker_death_mid_tick_is_retried(ray_session, three_inputs,
+                                          tmp_path, monkeypatch):
+    """A worker that dies inside the block function (``os._exit``) is
+    replaced and its file re-run: the tick completes with a clean run's
+    routed bytes, counts and manifests."""
+    paths, meta = three_inputs
+    paths = paths[:2]
+    clean_out = str(tmp_path / "clean")
+    assert run_pipeline(paths, meta, clean_out, CFG).n_pending == 2
+    marker = str(tmp_path / "died")
+
+    def die_once(t):
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)
+
+    _fault_in_block(monkeypatch, die_once)
+    out = str(tmp_path / "out")
+    assert run_pipeline(paths, meta, out, CFG).n_pending == 2
+    assert os.path.exists(marker)  # a worker did die
+    assert _outcome(out) == _outcome(clean_out)
+
+
+def test_raising_task_fails_the_tick_cleanly(ray_session, three_inputs,
+                                             clean, tmp_path, monkeypatch):
+    """One file's task raises while the other two are still running: the
+    tick raises that error, commits no manifest, and returns only once
+    no task of it can still write into the staging tree.  A re-run
+    without the fault converges on a clean run."""
+    paths, meta = three_inputs
+    bad = paths[1]
+
+    def raise_or_linger(t):
+        if t["path"][0].as_py() == bad:
+            raise ValueError("injected fault")
+        # without cancel-and-wait these writes would land after the
+        # tick raised, inside the quiet second checked below
+        time.sleep(0.5)
+
+    def staged():
+        return [(f, os.stat(f).st_mtime_ns) for f in sorted(glob.glob(
+            os.path.join(out, ".staging", "**"), recursive=True))]
+
+    _fault_in_block(monkeypatch, raise_or_linger)
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="injected fault"):
+        run_pipeline(paths, meta, out, CFG)
+    before = staged()
+    time.sleep(1)
+    assert staged() == before
+    assert not glob.glob(os.path.join(out, "manifests", "*"))
+
+    monkeypatch.undo()
+    assert run_pipeline(paths, meta, out, CFG).n_pending == 3
     assert _outcome(out) == clean
 
 
