@@ -266,13 +266,15 @@ def _file_partials(paths: Sequence[str], block) -> Iterator[pa.Table]:
 
 def build_tick(
     input_paths: Sequence[str],
+    pid_names: Sequence[str],
     meta: pa.Table,
     cfg: PipelineConfig,
     staging_dir: str,
     file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
 ) -> Iterable[pa.Table]:
     """One tick's count partials, computed as they are consumed: the
-    block function over every input file, writing under ``staging_dir``.
+    block function over every input file, writing input i under
+    ``staging_dir`` as partition ``pid_names[i]``.
 
     fill_mode="batch" runs ONE Ray task per file (``_file_partials``),
     which reads the file whole: the block function sees each file once,
@@ -290,7 +292,7 @@ def build_tick(
     """
     paths = list(input_paths)
     block = make_block_fn(cfg, meta, file_config, staging_dir, paths,
-                          [partition_id(p) for p in paths])
+                          pid_names)
     if cfg.fill_mode == "batch":
         return _file_partials(paths, block)
     if cfg.fill_mode != "grouped":
@@ -451,9 +453,11 @@ def run_pipeline(
     pending = pending_inputs(paths, store) if resume else paths
     if not pending:
         return idle_result(out_dir, store, len(paths))
+    pids = [partition_id(p) for p in pending]
     return write_and_commit(
-        lambda staging: build_tick(pending, meta, cfg, staging, file_config),
-        out_dir, store, [partition_id(p) for p in pending], pending,
+        lambda staging: build_tick(pending, pids, meta, cfg, staging,
+                                   file_config),
+        out_dir, store, pids, pending,
         clock_now=clock_now, n_skipped=len(paths) - len(pending))
 
 
@@ -464,13 +468,11 @@ def _clear_staging(out_dir: str) -> None:
 def idle_result(out_dir: str, store: ManifestStore,
                 n_skipped: int) -> RunResult:
     """The result of a tick with nothing pending: per-sink totals over
-    all manifests.  It also clears ``<out>/.staging``, which a crash
-    after a tick's last manifest commit leaves behind."""
+    all manifests, in sink order, as the store keeps them.  It also
+    clears ``<out>/.staging``, which a crash after a tick's last
+    manifest commit leaves behind."""
     _clear_staging(out_dir)
-    rows: dict[str, int] = {}
-    for m in store.all():
-        for sink, c in m.per_sink_counts.items():
-            rows[sink] = rows.get(sink, 0) + c
+    rows = store.sink_totals()
     return RunResult(None, pa.table({
         "sink": list(rows.keys()),
         "doc_count": list(rows.values()),

@@ -92,7 +92,8 @@ def run_live(
     pipeline; ``n_pending`` is the number of builds processed this
     tick (0 on an idle or fully-committed re-run)."""
     store = ManifestStore(os.path.join(out_dir, "manifests"))
-    seen = _StoreSeen(store.committed_ids())
+    committed = store.committed_ids()
+    seen = _StoreSeen(committed)
 
     complete = zuul_complete_param(get_json, zuul_url)
     jobs: list[Optional[str]] = [None]
@@ -104,7 +105,7 @@ def run_live(
             get_json, zuul_url, max_builds, seen, job,
             complete_param=complete))
     if not builds:
-        return idle_result(out_dir, store, len(store.committed_ids()))
+        return idle_result(out_dir, store, len(committed))
 
     uuids = [str(b["uuid"]) for b in builds]
     pid_names = [_build_pid(u) for u in uuids]

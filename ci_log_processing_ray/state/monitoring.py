@@ -8,9 +8,11 @@ record of a pipeline tick is the per-partition manifest
 THIN stdlib exporter that folds those manifests:
 
 * :class:`Monitoring` -- ``refresh_from_dir()`` reads
-  ``ManifestStore.all()`` (memoized: an idle scrape parses nothing) and
-  folds each partition id exactly once, so re-scrapes are no-ops and a
-  later TTL ``gc`` of old manifests never makes a counter go down.
+  ``ManifestStore.all()`` (the process's store snapshot, shared under
+  one lock with the committing loop: an idle scrape is one dir ``stat``
+  and parses nothing settled) and folds each partition id exactly
+  once, so re-scrapes are no-ops and a later TTL ``gc`` of old
+  manifests never makes a counter go down.
   ``render()`` is the Prometheus text exposition (format 0.0.4).
 * :class:`MetricsServer` -- a daemon-threaded ``http.server`` serving
   ``GET /metrics``; no third-party prometheus_client needed (absent in

@@ -1,9 +1,11 @@
 """Manifest store reads and the commit tail's manifest fields.
 
-``ManifestStore.all()`` memoizes settled manifests by stat identity; these
-tests pin that it parses only what changed and never serves stale content.
-``summarize_partials`` turns the writer's count partials into each
-partition's manifest fields.
+Each process keeps one snapshot per store dir, which the store's own
+commits keep current; these tests pin that a read parses only what
+changed, that an idle read of a settled store is one dir ``stat``, and
+that every change the contract covers leaves the next read equal to a
+fresh parse.  ``summarize_partials`` turns the writer's count partials
+into each partition's manifest fields.
 """
 
 import dataclasses
@@ -11,9 +13,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+import threading
 import time
 
 import pyarrow as pa
+import pytest
 
 from ci_log_processing_ray.pipelines.flagship import (
     _PARTIAL_SCHEMA,
@@ -21,7 +27,11 @@ from ci_log_processing_ray.pipelines.flagship import (
     summarize_partials,
     write_and_commit,
 )
-from ci_log_processing_ray.state.manifest import Manifest, ManifestStore
+from ci_log_processing_ray.state.manifest import (
+    Manifest,
+    ManifestStore,
+    pending_inputs,
+)
 
 
 def _manifest(i: int, row_count: int = 10, committed_at: float = 1.0) -> Manifest:
@@ -34,6 +44,21 @@ def _manifest(i: int, row_count: int = 10, committed_at: float = 1.0) -> Manifes
 def _backdate(store_dir: str, t: float) -> None:
     for f in os.listdir(store_dir):
         os.utime(os.path.join(store_dir, f), (t, t))
+
+
+def _settle(store_dir: str) -> None:
+    """Backdate every file, then the dir itself, past the racy window."""
+    t = time.time() - 10
+    _backdate(store_dir, t)
+    os.utime(store_dir, (t, t))
+
+
+def _mixed(i: int, rows: int = 1) -> Manifest:
+    """A manifest whose sinks depend on ``i``: perf for odd ``i``."""
+    sinks = ({"perf": rows} if i % 2 else
+             {"logstash": i * rows, "subunit": rows})
+    return dataclasses.replace(_manifest(i), row_count=sum(sinks.values()),
+                               per_sink_counts=sinks)
 
 
 def _fresh(store_dir: str) -> list[Manifest]:
@@ -102,6 +127,40 @@ def test_all_rereads_a_young_file_rewritten_in_place(tmp_path):
 
     assert store.all()[0].row_count == 11
 
+    # the same on a trusted snapshot that the store's own commit keeps
+    _settle(d)
+    assert store.all()[0].row_count == 11
+    store.commit(_manifest(1, row_count=5))
+    assert store.sink_totals() == {"logstash": 16}
+    path = os.path.join(d, _manifest(1).partition_id + ".json")
+    st = os.stat(path)
+    with open(path, "r+") as f:
+        f.write(json.dumps(dataclasses.asdict(_manifest(1, row_count=6)),
+                           sort_keys=True))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert store.all()[1].row_count == 6
+    assert store.sink_totals() == {"logstash": 17}
+
+
+def test_rescan_of_a_young_dir_is_not_trusted(tmp_path):
+    """Racy-clean rule for the dir: an outside change in the timestamp
+    tick of a rescan keeps the dir's identity (simulated here by
+    restoring the dir's mtime), so a rescan of a young dir must not be
+    answered from."""
+    d = str(tmp_path / "manifests")
+    store = ManifestStore(d)
+    for i in range(3):
+        store.commit(_manifest(i))
+    os.unlink(os.path.join(d, _manifest(2).partition_id + ".json"))
+    assert len(store.all()) == 2  # a rescan of a young dir
+
+    before = os.stat(d)
+    with open(os.path.join(d, _manifest(7).partition_id + ".json"), "w") as f:
+        f.write(json.dumps(dataclasses.asdict(_manifest(7)), sort_keys=True))
+    os.utime(d, ns=(before.st_atime_ns, before.st_mtime_ns))
+    _assert_fresh(store)
+    assert len(store.all()) == 3
+
 
 def test_all_sees_a_store_recreated_at_the_same_path(tmp_path):
     """The backfill loop removes its output dir and rebuilds it: the
@@ -125,6 +184,197 @@ def test_all_sees_a_store_recreated_at_the_same_path(tmp_path):
     store = recreate(300, t0 - 5)
     assert [m.row_count for m in store.all()] == [300] * 5
     assert store.all() == _fresh(d)
+
+
+def _assert_fresh(store: ManifestStore) -> None:
+    """Every read of ``store`` equals a fresh parse of its files."""
+    want = _fresh(store.dir)
+    totals: dict[str, int] = {}
+    for m in want:
+        for sink, c in m.per_sink_counts.items():
+            totals[sink] = totals.get(sink, 0) + c
+    assert store.all() == want
+    assert store.sink_totals() == totals
+    assert list(store.sink_totals()) == sorted(totals)
+    assert store.committed_ids() == {m.partition_id for m in want}
+
+
+def _settled_store(tmp_path, n: int = 20) -> ManifestStore:
+    store = ManifestStore(str(tmp_path / "manifests"))
+    for i in range(n):
+        store.commit(_mixed(i))
+    _settle(store.dir)
+    _assert_fresh(store)  # a trusted snapshot of the settled dir
+    return store
+
+
+def test_own_commits_and_removes_keep_reads_fresh(tmp_path):
+    store = _settled_store(tmp_path)
+    store.commit(_mixed(20))  # new
+    store.commit(_mixed(3, rows=5))  # replaced
+    _assert_fresh(store)
+    for i in range(1, 21, 2):  # every perf manifest: the sink goes
+        store.remove(_mixed(i).partition_id)
+    store.remove("never-committed")
+    _assert_fresh(store)
+    assert "perf" not in store.sink_totals()
+
+
+def test_outside_unlink_is_seen(tmp_path):
+    store = _settled_store(tmp_path)
+    os.unlink(os.path.join(store.dir, _mixed(4).partition_id + ".json"))
+    _assert_fresh(store)
+    assert len(store.all()) == 19
+
+
+def test_commit_by_another_process_is_seen(tmp_path):
+    store = _settled_store(tmp_path)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys\n"
+            "from ci_log_processing_ray.state.manifest import (\n"
+            "    Manifest, ManifestStore)\n"
+            "ManifestStore(sys.argv[1]).commit(Manifest(\n"
+            "    partition_id='from-child', input_path='/in/child',\n"
+            "    row_count=3, per_sink_counts={'child': 3}))\n")
+    subprocess.run([sys.executable, "-c", code, store.dir], check=True,
+                   cwd=root, timeout=120,
+                   env={**os.environ, "PYTHONPATH": root})
+    _assert_fresh(store)
+    assert store.sink_totals()["child"] == 3
+
+
+class Crash(Exception):
+    pass
+
+
+def test_crash_right_after_the_rename_leaves_reads_fresh(tmp_path,
+                                                         monkeypatch):
+    """The manifest is in place but the commit never returns: no
+    snapshot may answer for the dir as it was before."""
+    store = _settled_store(tmp_path)
+    real = os.replace
+
+    def replace_then_crash(src, dst):
+        real(src, dst)
+        raise Crash(dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_crash)
+    with pytest.raises(Crash):
+        store.commit(_mixed(5, rows=7))
+    monkeypatch.undo()
+    _assert_fresh(store)
+    assert store.sink_totals()["perf"] == 9 + 7
+
+
+def test_idle_read_of_a_settled_store_is_one_dir_stat(tmp_path, monkeypatch):
+    """O(1) in history: once the snapshot is current, each read makes
+    one ``stat`` (of the dir) and parses nothing."""
+    store = _settled_store(tmp_path, n=50)
+    paths = [m.input_path for m in _fresh(store.dir)] + ["/in/new.parquet"]
+    loads = _count_loads(monkeypatch)
+    stats: list[str] = []
+    real = os.stat
+
+    def counting(path, *a, **kw):
+        stats.append(path)
+        return real(path, *a, **kw)
+
+    monkeypatch.setattr(os, "stat", counting)
+    for read in (store.all, store.sink_totals, store.committed_ids,
+                 lambda: pending_inputs(paths, store)):
+        stats.clear()
+        read()
+        assert stats == [store.dir]
+    assert loads == []
+
+
+def test_in_place_rewrite_of_a_settled_manifest_waits_for_a_dir_change(
+        tmp_path):
+    """The documented limit: rewriting a settled manifest in place
+    changes no dir identity, so reads keep the old content until a
+    change made outside the store's own calls touches the dir."""
+    store = ManifestStore(str(tmp_path / "manifests"))
+    for i in range(3):
+        store.commit(_manifest(i, row_count=10))
+    _settle(store.dir)
+    assert store.all()[0].row_count == 10
+
+    path = os.path.join(store.dir, _manifest(0).partition_id + ".json")
+    with open(path, "r+") as f:
+        f.write(json.dumps(dataclasses.asdict(_manifest(0, row_count=11)),
+                           sort_keys=True))
+    assert store.all()[0].row_count == 10
+    store.commit(_manifest(1, row_count=12))  # the store's own write
+    assert store.all()[0].row_count == 10
+
+    os.unlink(os.path.join(store.dir, _manifest(2).partition_id + ".json"))
+    assert store.all()[0].row_count == 11
+    _assert_fresh(store)
+
+
+def test_a_read_waits_for_the_commit_in_flight(tmp_path, monkeypatch):
+    """A read from another thread is held off while a commit has its
+    file written but not yet renamed into place, and then sees it."""
+    store = _settled_store(tmp_path)
+    entered, release = threading.Event(), threading.Event()
+    real = os.replace
+
+    def held_replace(src, dst):
+        entered.set()
+        release.wait(60)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", held_replace)
+    writer = threading.Thread(target=store.commit, args=(_mixed(99),))
+    writer.start()
+    assert entered.wait(60)
+    got: list[list[Manifest]] = []
+    reader = threading.Thread(
+        target=lambda: got.append(ManifestStore(store.dir).all()))
+    reader.start()
+    reader.join(0.5)
+    held = reader.is_alive()
+    release.set()
+    writer.join(60)
+    reader.join(60)
+    assert held and not writer.is_alive() and not reader.is_alive()
+    monkeypatch.undo()
+    assert got == [_fresh(store.dir)] and len(got[0]) == 21
+
+
+def test_reads_from_another_thread_while_committing(tmp_path):
+    """The ``/metrics`` scrape thread reads the store while the loop
+    commits and removes: no read fails, and the end state is exact."""
+    store = ManifestStore(str(tmp_path / "manifests"))
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    reads = [0]
+
+    def reader():
+        try:
+            while not stop.is_set():
+                ManifestStore(store.dir).all()
+                ManifestStore(store.dir).sink_totals()
+                reads[0] += 1
+        except BaseException as e:  # noqa: BLE001 (reported below)
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    t = threading.Thread(target=reader, daemon=True)
+    try:
+        t.start()
+        for i in range(500):
+            store.commit(_mixed(i, rows=i % 7 + 1))
+            if i % 3 == 2:
+                store.remove(_mixed(i // 2).partition_id)
+    finally:
+        stop.set()
+        t.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not t.is_alive()
+    assert errors == [] and reads[0] > 0
+    _assert_fresh(store)
 
 
 def _checksum(rows) -> str:
