@@ -13,6 +13,12 @@ pre-tokenized Parquet shards:
     # micro-batch streaming (the reference's --follow --wait-time):
     ... --follow --ticks 10 --wait-time 120
 
+    # live mode: list builds from a Zuul API and fetch their logs
+    # over HTTP, one tick (or a --follow polling loop)
+    python -m ci_log_processing_ray --live \
+        --zuul-url https://zuul.opendev.org/api/tenant/openstack \
+        --out /data/routed --follow --wait-time 120
+
 This module OWNS a Ray session (guarded init) -- the only places
 allowed to, per the driver contract.
 """
@@ -66,7 +72,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-resume", action="store_true",
                    help="reprocess inputs even if manifests exist")
     p.add_argument("--follow", action="store_true",
-                   help="poll for new inputs (reference --follow)")
+                   help="poll for new inputs, or new builds with --live "
+                        "(reference --follow)")
     p.add_argument("--ticks", type=int, default=1000000,
                    help="max polling ticks in --follow mode")
     p.add_argument("--wait-time", type=float, default=120.0,
@@ -116,14 +123,15 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    owns_ray = not ray.is_initialized()
+    if owns_ray:
         ray.init(address="local", num_cpus=args.num_cpus,
                  include_dashboard=False)
     metrics_server = None
     try:
         from .config import PipelineConfig
         from .pipelines.flagship import run_pipeline
-        from .pipelines.follow import run_follow
+        from .pipelines.follow import poll, run_follow
 
         cfg = PipelineConfig(skip_debug=args.skip_debug,
                              fill_mode=args.fill_mode,
@@ -155,35 +163,26 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit("--live requires --zuul-url")
             from .pipelines.live import run_live
 
-            results = [run_live(
-                _urllib_get_json, _urllib_fetcher_factory,
-                args.zuul_url, args.out, cfg,
-                job_names=args.job_names, max_builds=args.max_builds,
-                clock_now=time.time())]
-            last = results[-1]
-            print(json.dumps({
-                "ticks": 1,
-                "n_pending": last.n_pending,
-                "n_skipped": last.n_skipped,
-                "routed_dir": last.routed_dir,
-                "counts": last.counts.to_pylist(),
-            }, default=str))
-            return 0
-        if not args.inputs or not args.build_meta:
+            results = poll(
+                lambda clock: run_live(
+                    _urllib_get_json, _urllib_fetcher_factory,
+                    args.zuul_url, args.out, cfg,
+                    job_names=args.job_names, max_builds=args.max_builds,
+                    clock_now=clock),
+                ticks=args.ticks if args.follow else 1,
+                wait_seconds=args.wait_time, sleep_fn=time.sleep,
+                clock0=time.time())
+        elif not args.inputs or not args.build_meta:
             raise SystemExit("batch mode requires --inputs and --build-meta")
-
-        def list_inputs():
-            return sorted(glob.glob(args.inputs))
-
-        if args.follow:
+        elif args.follow:
             results = run_follow(
-                list_inputs, args.build_meta, args.out, cfg,
-                ticks=args.ticks, wait_seconds=args.wait_time,
-                sleep_fn=time.sleep, clock0=time.time(),
-                stop_when_idle=False)
+                lambda: sorted(glob.glob(args.inputs)), args.build_meta,
+                args.out, cfg, ticks=args.ticks,
+                wait_seconds=args.wait_time, sleep_fn=time.sleep,
+                clock0=time.time(), stop_when_idle=False)
         else:
-            results = [run_pipeline(list_inputs(), args.build_meta,
-                                    args.out, cfg,
+            results = [run_pipeline(sorted(glob.glob(args.inputs)),
+                                    args.build_meta, args.out, cfg,
                                     resume=not args.no_resume,
                                     clock_now=time.time())]
         last = results[-1]
@@ -198,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.stop()
-        ray.shutdown()
+        if owns_ray:
+            ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -17,11 +17,12 @@ section 3 "Rebuild lifecycle"):
     8. nothing more: the partition manifests (with the batch digest)
        are the run's only record; ``/metrics`` folds them  [ST5/A1]
 
-The block function (3-6) and the tail (``write_and_commit``, 7-8) are
-shared with fill_mode="grouped", which reads and regroups the files
-with Ray Data (a shuffle), and with the live pipeline
-(pipelines/live.py), whose source is a Ray Data actor-pool fetch keyed
-by build uuid.
+The block function (3-6), the task loop that runs it
+(``task_partials``) and the tail (``write_and_commit``, 7-8) are shared
+with the live pipeline (pipelines/live.py), whose tasks fetch one build
+each instead of reading one file.  fill_mode="grouped" shares the block
+function and the tail; it reads and regroups the files with Ray Data (a
+shuffle).
 """
 
 from __future__ import annotations
@@ -160,11 +161,6 @@ def _partition_codes(keys: pa.Array, lut: dict[str, int]) -> pa.Array:
     return pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)])
 
 
-def _path_key(t: pa.Table) -> tuple[pa.Table, pa.Array]:
-    """A batch tick's partition key: the input path the read attached."""
-    return t.drop_columns("path"), t["path"].combine_chunks()
-
-
 def make_block_fn(
     cfg: PipelineConfig,
     meta: pa.Table,
@@ -172,15 +168,15 @@ def make_block_fn(
     staging_dir: str,
     keys: Sequence[str],
     pid_names: Sequence[str],
-    key_of: Callable[[pa.Table], tuple[pa.Table, pa.Array]] = _path_key,
 ):
     """A tick's whole per-block transform as ONE Arrow function:
     partition id -> parse -> enrich -> route -> fan-out write.  Its
     output rows are the writer's count partials.
 
-    ``key_of(t)`` splits a source block into its rows and each row's
-    partition key; ``_partition`` is that key's index in ``keys``, and
-    the writer stores partition i under ``pid_names[i]``.  ``meta`` is
+    A source block carries a ``path`` column, each row's partition key
+    (its input file, or its build's ``zuul://<uuid>`` lineage path);
+    ``_partition`` is that key's index in ``keys``, and the writer
+    stores partition i under ``pid_names[i]``.  ``meta`` is
     broadcast once as an object ref; each worker process builds its
     enrich state from it on first use.
     """
@@ -191,8 +187,9 @@ def make_block_fn(
     write = make_fanout_writer(staging_dir, pid_names)
 
     def process_block(t: pa.Table) -> pa.Table:
-        t, key = key_of(t)
-        t = t.append_column("_partition", _partition_codes(key, lut))
+        key = t["path"].combine_chunks()
+        t = t.drop_columns("path").append_column(
+            "_partition", _partition_codes(key, lut))
         t = route(enrich(parse(t)))
         # "sink" is the directory key at write time (stripped from the
         # files); "sink_name" keeps each row's sink in the data
@@ -212,43 +209,43 @@ def _in_file_order(t: pa.Table) -> pa.Table:
     return t.take(order).drop_columns(["_file", "_line"])
 
 
-@ray.remote(max_retries=-1, retry_exceptions=[RaySystemError],
-            scheduling_strategy="SPREAD")
-def _file_task(block: Callable[[pa.Table], pa.Table], path: str) -> pa.Table:
-    """One batch-tick task: the block function over ``path`` read whole.
+# The options of a Ray Data map task: retry a dead worker or a system
+# error without limit, and spread over the nodes.  A worker death
+# mid-tick re-runs its item, and the writer's deterministic file names
+# make the re-run overwrite its own output.
+TASK_OPTIONS = dict(max_retries=-1, retry_exceptions=[RaySystemError],
+                    scheduling_strategy="SPREAD")
 
-    The remote options are those of a Ray Data map task (retry a dead
-    worker or a system error without limit; spread over the nodes), so
-    a worker death mid-tick re-runs the file, and the writer's
-    deterministic file names make the re-run overwrite its own output.
-    """
+
+@ray.remote(**TASK_OPTIONS)
+def _file_task(block: Callable[[pa.Table], pa.Table], path: str) -> pa.Table:
+    """One batch-tick task: the block function over ``path`` read whole."""
     t = pq.read_table(path, use_threads=False)
     return block(t.append_column("path", pa.repeat(path, len(t))))
 
 
-def _file_partials(paths: Sequence[str], block) -> Iterator[pa.Table]:
-    """The batch tick: one ``_file_task`` per input file, yielding each
-    file's count partials as its task completes.
+def task_partials(task, items: Iterable, block, *shared) -> Iterator[pa.Table]:
+    """A tick's task loop: one ``task.remote(block, item, *shared)`` per
+    item, in ``items`` order, yielding each task's count partials as it
+    completes.  The task builds the item's rows, appends their ``path``
+    partition key and returns the block function's output.
 
-    Files are submitted LARGEST FIRST (LPT order), so a hot build's
-    3-4x-mean task starts in the first wave instead of anchoring the
-    last; partition ids key on the PATH, so the output does not depend
-    on the order.  At most two tasks per cluster CPU are in flight: one
-    running, one queued behind it.  The block function is put in the
-    object store once per tick and shared by every task.
+    At most two tasks per cluster CPU are in flight: one running, one
+    queued behind it.  The block function and the ``shared`` arguments
+    are put in the object store once per tick and shared by every task.
 
     If a task raises, or the consumer stops early, the tasks still in
     flight are cancelled and awaited before the error propagates: no
     task of a failed tick is left writing into the staging dir that the
     next tick clears and reuses.
     """
-    todo = iter(sorted(paths, key=os.path.getsize, reverse=True))
+    todo = iter(items)
     window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
-    block_ref = ray.put(block)
+    refs = [ray.put(x) for x in (block, *shared)]
 
     def submit(n: int) -> list[ray.ObjectRef]:
-        return [_file_task.remote(block_ref, p)
-                for p in itertools.islice(todo, n)]
+        return [task.remote(refs[0], item, *refs[1:])
+                for item in itertools.islice(todo, n)]
 
     in_flight = submit(window)
     try:
@@ -276,13 +273,17 @@ def build_tick(
     block function over every input file, writing input i under
     ``staging_dir`` as partition ``pid_names[i]``.
 
-    fill_mode="batch" runs ONE Ray task per file (``_file_partials``),
-    which reads the file whole: the block function sees each file once,
-    in its stored order (the layout contract of the batch-local
-    carry-forward), and writes one file per sink.  The file count
-    supplies the parallelism.  No Ray Data plan is built: a one-operator
-    plan with KB-sized outputs would add only the executor's fixed cost
-    (plan, topology, executor thread, stats actor) to every tick.
+    fill_mode="batch" runs ONE Ray task per file (``_file_task`` in
+    ``task_partials``), which reads the file whole: the block function
+    sees each file once, in its stored order (the layout contract of the
+    batch-local carry-forward), and writes one file per sink.  The file
+    count supplies the parallelism.  Files are submitted LARGEST FIRST
+    (LPT order), so a hot build's 3-4x-mean task starts in the first
+    wave instead of anchoring the last; partition ids key on the PATH,
+    so the output does not depend on the order.  No Ray Data plan is
+    built: a one-operator plan with KB-sized outputs would add only the
+    executor's fixed cost (plan, topology, executor thread, stats actor)
+    to every tick.
 
     fill_mode="grouped" restores the parse layout contract for any
     layout: Ray Data reads the files, one bucketed exchange on the
@@ -294,7 +295,9 @@ def build_tick(
     block = make_block_fn(cfg, meta, file_config, staging_dir, paths,
                           pid_names)
     if cfg.fill_mode == "batch":
-        return _file_partials(paths, block)
+        return task_partials(
+            _file_task, sorted(paths, key=os.path.getsize, reverse=True),
+            block)
     if cfg.fill_mode != "grouped":
         raise ValueError(cfg.fill_mode)
     from ..ops.window import bucketed_groups
@@ -370,9 +373,9 @@ def write_and_commit(
 
     ``plan(staging_dir)`` is the tick's iterable of count partial
     tables from the block function writing under ``staging_dir``, all
-    written once the iterable is exhausted: the batch tick's task
-    results, or a Ray Data plan's ``iter_batches`` (grouped mode and the
-    live pipeline; not ``to_arrow_refs``, which fetches the schema by
+    written once the iterable is exhausted: the task results of
+    ``task_partials`` (batch and live ticks), or grouped mode's Ray Data
+    ``iter_batches`` (not ``to_arrow_refs``, which fetches the schema by
     running the whole chain again on one block).  Partial
     ``_partition`` = i is the partition whose stable id is
     ``pid_names[i]`` and whose lineage input is ``input_paths[i]``.

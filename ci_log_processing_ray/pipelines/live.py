@@ -6,15 +6,17 @@ pipeline tick:
   driver: version gate (M17) -> jobs intersection (S2) -> paginated
           /builds listing with page-drift dedup (S1) -> anti-join
           against committed manifests (S5/J4)
-  cluster: per-build file downloads incl. .gz twins (S3, actor pool)
-           + inventory fetch -> build_meta (S4/M12)
-           -> the batch pipeline's block function: parse -> enrich
-           -> route -> per-sink fan-out write with conformance count
-           partials (S12/A2)
+  cluster: one Ray task per build fetches its inventory -> build_meta
+           (S4/M12); then the batch tick's task loop (``task_partials``)
+           runs one task per build, as the reference maps ``run_build``
+           over its pool (logscraper.py:726-727): the build's file
+           downloads incl. .gz twins (S3) -> the batch pipeline's block
+           function: parse -> enrich -> route -> per-sink fan-out write
+           with conformance count partials (S12/A2)
   driver: per-BUILD manifest commit after the partition rename, then
           nothing else: the batch pipeline's own ``write_and_commit``
-          tail with the build uuid as the partition key, so a crashed
-          run re-fetches only uncommitted builds and a second identical
+          tail with one partition per build, so a crashed run
+          re-fetches only uncommitted builds and a second identical
           run is a no-op.  The per-build manifests are the tick's only
           record; ``--monitoring-port`` folds them (state/monitoring.py).
 
@@ -30,33 +32,52 @@ import os
 from typing import Callable, Optional, Sequence
 
 import pyarrow as pa
-import pyarrow.compute as pc
+
+import ray
 
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry, PipelineConfig
 from ..state.manifest import ManifestStore
 from ..sources.zuul import (
     GetBytes,
     GetJson,
+    build_key,
+    build_rows,
     fetch_build_meta,
     filter_available_jobs,
     get_last_job_results,
-    read_zuul_builds,
     zuul_complete_param,
 )
-from .flagship import RunResult, idle_result, make_block_fn, write_and_commit
+from .flagship import (
+    TASK_OPTIONS,
+    RunResult,
+    idle_result,
+    make_block_fn,
+    task_partials,
+    write_and_commit,
+)
 
 
-def _build_pid(uuid: str) -> str:
-    """Stable per-build partition id (same shape as the batch
-    pipeline's path-keyed ids)."""
-    digest = hashlib.sha256(uuid.encode()).hexdigest()[:16]
-    return f"build-{uuid}-{digest}"
+def _build_pid(key: str) -> str:
+    """Stable per-build partition id from the build's anti-join key
+    (``build_key``; same shape as the batch pipeline's path-keyed
+    ids)."""
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return f"build-{key}-{digest}"
 
 
-def _uuid_key(t: pa.Table) -> tuple[pa.Table, pa.Array]:
-    """A live tick's partition key: the build uuid prefix of doc_id."""
-    return t, pc.struct_field(pc.extract_regex(
-        t["doc_id"].combine_chunks(), pattern=r"^(?P<u>[^/]+)/"), "u")
+def _lineage(build: dict) -> str:
+    """A build's lineage input path, and its rows' partition key."""
+    return f"zuul://{build['uuid']}"
+
+
+@ray.remote(**TASK_OPTIONS)
+def _build_task(block: Callable[[pa.Table], pa.Table], build: dict,
+                fetcher_factory: Callable[[], GetBytes],
+                file_config: tuple[FileConfigEntry, ...]) -> pa.Table:
+    """One live-tick task: the block function over one build's files,
+    fetched with the task's own HTTP client (ST2)."""
+    t = build_rows(build, fetcher_factory(), file_config)
+    return block(t.append_column("path", pa.repeat(_lineage(build), len(t))))
 
 
 class _StoreSeen:
@@ -69,7 +90,7 @@ class _StoreSeen:
         self.mem: set = set()
 
     def contains(self, key) -> bool:
-        return key in self.mem or _build_pid(str(key)) in self.committed
+        return key in self.mem or _build_pid(key) in self.committed
 
     def add(self, key) -> None:
         self.mem.add(key)
@@ -86,7 +107,6 @@ def run_live(
     max_builds: int = 100,
     file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
     clock_now: float = 0.0,
-    fetch_concurrency: tuple[int, int] | int = (1, 8),
 ) -> RunResult:
     """One live tick.  Returns the same RunResult as the batch
     pipeline; ``n_pending`` is the number of builds processed this
@@ -107,21 +127,15 @@ def run_live(
     if not builds:
         return idle_result(out_dir, store, len(committed))
 
-    uuids = [str(b["uuid"]) for b in builds]
-    pid_names = [_build_pid(u) for u in uuids]
+    pid_names = [_build_pid(build_key(b)) for b in builds]
+    sources = [_lineage(b) for b in builds]
     meta = fetch_build_meta(builds, fetcher_factory)
-    rows = read_zuul_builds(builds, fetcher_factory,
-                            file_config=file_config,
-                            concurrency=fetch_concurrency)
 
     def plan(staging_dir: str):
-        block = make_block_fn(cfg, meta, file_config, staging_dir, uuids,
-                              pid_names, key_of=_uuid_key)
-        return rows.map_batches(block, batch_format="pyarrow",
-                                batch_size=None, zero_copy_batch=True
-                                ).iter_batches(batch_format="pyarrow",
-                                               batch_size=None)
+        block = make_block_fn(cfg, meta, file_config, staging_dir, sources,
+                              pid_names)
+        return task_partials(_build_task, builds, block, fetcher_factory,
+                             file_config)
 
-    return write_and_commit(
-        plan, out_dir, store, pid_names, [f"zuul://{u}" for u in uuids],
-        clock_now=clock_now)
+    return write_and_commit(plan, out_dir, store, pid_names, sources,
+                            clock_now=clock_now)

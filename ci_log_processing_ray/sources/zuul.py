@@ -1,5 +1,5 @@
 """Live Zuul HTTP source (S1-S5 + S7 + M17): the reference's network
-path re-expressed Ray-Data-first.
+path re-expressed for Ray tasks.
 
 Split of responsibilities at scale:
 
@@ -7,11 +7,13 @@ Split of responsibilities at scale:
   sequential (``skip=N`` pagination with an in-flight uuid dedup
   guarding against page drift, logscraper.py:414-440) and tiny
   (O(max_builds) dicts), so it stays a generator on the driver.
-* **Fetching is distributed** -- the per-build file downloads (the
-  actual bytes) run as an actor-pool ``map_batches`` over the build
-  list: one HTTP client per actor (ST2), every configured file AND its
-  ``.gz`` twin tried (get_files_to_check, logscraper.py:515-527),
-  decode shared with the build-dir source (sources/textlog.py).
+* **Fetching is per build** -- as the reference maps ``run_build`` over
+  its process pool (logscraper.py:726-727), each build is fetched by
+  one Ray task with its own HTTP client (ST2): ``fetch_build_meta``'s
+  tasks download the inventories, and the live tick's tasks
+  (pipelines/live.py) call ``build_rows``, which tries every configured
+  file AND its ``.gz`` twin (get_files_to_check, logscraper.py:515-527)
+  and decodes them as the build-dir source does (sources/textlog.py).
 
 All network access is INJECTED: callers pass ``get_json(url)`` /
 a ``fetcher_factory`` returning ``get_bytes(url) -> bytes | None``.
@@ -27,7 +29,6 @@ from typing import Callable, Iterable, Iterator, Optional
 import pyarrow as pa
 
 import ray
-import ray.data
 
 from ..config import DEFAULT_FILE_CONFIG, FileConfigEntry
 from .textlog import ROW_SCHEMA, decode_file
@@ -100,6 +101,12 @@ def iter_builds(
             pos += 1
 
 
+def build_key(build: dict) -> str:
+    """A build's anti-join key: Zuul's ``_id`` when the listing carries
+    one (the reference's BuildCache key), else its uuid."""
+    return str(build.get("_id", build["uuid"]))
+
+
 def get_last_job_results(
     get_json: GetJson,
     zuul_url: str,
@@ -110,15 +117,15 @@ def get_last_job_results(
     complete_param: str = "",
 ) -> Iterator[dict]:
     """J4 anti-join against the checkpoint: yield at most ``max_builds``
-    builds whose ``_id``/uuid is not in ``seen`` (any object with
-    ``contains``/``add``, e.g. state/manifest.py's cache)."""
+    builds whose ``build_key`` is not in ``seen`` (any object with
+    ``contains``/``add``, e.g. pipelines/live.py's manifest view)."""
     count = 0
     for build in iter_builds(get_json, zuul_url, job_name,
                              complete_param=complete_param):
         count += 1
         if count > int(max_builds):
             break
-        key = build.get("_id", build["uuid"])
+        key = build_key(build)
         if seen.contains(key):
             continue
         seen.add(key)
@@ -212,125 +219,77 @@ def _parse_inventory(data: Optional[bytes]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Distributed fetch: builds -> parse-ready rows (ROW_SCHEMA)
+# Per-build fetch: one build -> parse-ready rows (ROW_SCHEMA), and one
+# build_meta row per build
 # ---------------------------------------------------------------------------
-_BUILD_COLS = ("uuid", "log_url", "result", "end_time")
+def _fetched_files(build: dict, get_bytes: GetBytes,
+                   file_config: tuple[FileConfigEntry, ...]
+                   ) -> Iterator[tuple[str, bytes]]:
+    """(fetched name, body) of every file the build has: each configured
+    name, or its ``.gz`` twin when the plain name is missing
+    (logscraper.py:515-527).  A build without a log_url (ABORTED /
+    NODE_FAILURE) has only the ``custom-job-results.txt`` doc
+    ``"{end_time} | {result}"`` of create_custom_result
+    (logscraper.py:568-575)."""
+    log_url = build.get("log_url")
+    if not log_url:
+        yield "custom-job-results.txt", ("%s | %s" % (
+            build.get("end_time"), build.get("result"))).encode()
+        return
+    base = log_url.rstrip("/") + "/"
+    for name in (e.name for e in file_config):
+        for fetched in (name, name + ".gz"):
+            data = get_bytes(base + fetched)
+            if data is not None:
+                yield fetched, data
+                break
 
 
-class BuildFetcher:
-    """Actor-pool stage: one HTTP client per actor (fetcher_factory runs
-    in __init__, ST2), builds arrive in batches, rows leave in the
-    build-dir source's schema so parse/enrich/route are unchanged.
-
-    Builds without a log_url (ABORTED / NODE_FAILURE) synthesize the
-    ``custom-job-results.txt`` doc ``"{end_time} | {result}"`` exactly
-    like create_custom_result (logscraper.py:568-575)."""
-
-    def __init__(self, fetcher_factory: Callable[[], GetBytes],
-                 file_config: tuple[FileConfigEntry, ...]):
-        self.get_bytes = fetcher_factory()
-        self.file_config = file_config
-        self.names = [e.name for e in file_config]
-
-    def _build_rows(self, uuid, log_url, result, end_time):
-        out = []
-        if not log_url:
-            data = ("%s | %s" % (end_time, result)).encode()
-            rows, fname, source = decode_file(
-                "custom-job-results.txt", data, self.file_config)
-            for i, row in enumerate(rows):
-                out.append((f"{uuid}/{fname}/{i:06d}", row, source))
-            return out
-        base = log_url.rstrip("/") + "/"
-        for name in self.names:
-            data = self.get_bytes(base + name)
-            fetched = name
-            if data is None:  # try the .gz twin (logscraper.py:515-527)
-                fetched = name + ".gz"
-                data = self.get_bytes(base + fetched)
-            if data is None:
-                continue
-            rows, fname, source = decode_file(
-                fetched, data, self.file_config)
-            for i, row in enumerate(rows):
-                out.append((f"{uuid}/{fname}/{i:06d}", row, source))
-        return out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids, lines, sources = [], [], []
-        for uuid, log_url, result, end_time in zip(
-                *(batch[c].to_pylist() for c in _BUILD_COLS)):
-            for doc_id, line, source in self._build_rows(
-                    uuid, log_url, result, end_time):
-                doc_ids.append(doc_id)
-                lines.append(line)
-                sources.append(source)
-        return pa.table({
-            "doc_id": pa.array(doc_ids, type=pa.string()),
-            "line": pa.array(lines, type=pa.string()),
-            "source": pa.array(sources, type=pa.string()),
-            "n_tok": pa.array([0] * len(doc_ids), type=pa.int32()),
-        }, schema=ROW_SCHEMA)
-
-
-def read_zuul_builds(
-    builds: list[dict],
-    fetcher_factory: Callable[[], GetBytes],
-    *,
+def build_rows(
+    build: dict,
+    get_bytes: GetBytes,
     file_config: tuple[FileConfigEntry, ...] = DEFAULT_FILE_CONFIG,
-    concurrency: tuple[int, int] | int = (1, 8),
-) -> ray.data.Dataset:
-    """Build dicts (from ``get_last_job_results``) -> parse-ready rows.
+) -> pa.Table:
+    """One build's files -> rows in the build-dir source's schema
+    (``ROW_SCHEMA``, doc_id ``{uuid}/{file}/{line:06d}``), decoded as
+    that source decodes them, so parse/enrich/route are unchanged.  Each
+    file's rows stay contiguous and in line order (the carry-forward
+    layout contract)."""
+    doc_ids, lines, sources = [], [], []
+    for fetched, data in _fetched_files(build, get_bytes, file_config):
+        rows, fname, source = decode_file(fetched, data, file_config)
+        doc_ids += [f"{build['uuid']}/{fname}/{i:06d}"
+                    for i in range(len(rows))]
+        lines += rows
+        sources += [source] * len(rows)
+    return pa.table({
+        "doc_id": pa.array(doc_ids, type=pa.string()),
+        "line": pa.array(lines, type=pa.string()),
+        "source": pa.array(sources, type=pa.string()),
+        "n_tok": pa.array([0] * len(doc_ids), type=pa.int32()),
+    }, schema=ROW_SCHEMA)
 
-    One build per input block so each build's files stay contiguous
-    (the carry-forward/multiline layout contract), downloads fan out
-    across the actor pool, and a failed build re-runs as one task."""
-    items = [{c: b.get(c) for c in _BUILD_COLS} for b in builds]
-    ds = ray.data.from_items(items).repartition(max(1, len(items)))
-    return ds.map_batches(
-        BuildFetcher, fn_constructor_args=(fetcher_factory, file_config),
-        batch_format="pyarrow", batch_size=None, concurrency=concurrency)
+
+@ray.remote
+def _meta_task(build: dict, fetcher_factory: Callable[[], GetBytes]) -> dict:
+    get_bytes = fetcher_factory()
+    inv = {}
+    if build.get("log_url"):
+        inv = _parse_inventory(get_bytes(
+            build["log_url"].rstrip("/") + "/zuul-info/inventory.yaml"))
+    return normalize_build_fields(build, inv)
 
 
 def fetch_build_meta(
     builds: list[dict],
     fetcher_factory: Callable[[], GetBytes],
-    *,
-    concurrency: tuple[int, int] | int = (1, 4),
 ) -> pa.Table:
     """S4+M12: fetch each build's ``zuul-info/inventory.yaml`` and emit
-    the typed build_meta table (the broadcast side of the enrich join).
-    Distributed fetch -- one row per build comes back, so materializing
-    the result is O(builds), never O(log lines)."""
+    the typed build_meta table (the broadcast side of the enrich join),
+    one row per build in build order.  One Ray task per build, which
+    opens its own fetcher as the reference's ``run_build`` does."""
     from .synth import BUILD_META_SCHEMA
 
-    class MetaFetcher:
-        def __init__(self):
-            self.get_bytes = fetcher_factory()
-
-        def __call__(self, batch: dict) -> pa.Table:
-            recs = []
-            for raw in batch["payload"]:
-                b = json.loads(raw)
-                inv = {}
-                if b.get("log_url"):
-                    inv = _parse_inventory(self.get_bytes(
-                        b["log_url"].rstrip("/") + "/zuul-info/inventory.yaml"))
-                recs.append(normalize_build_fields(b, inv))
-            cols = {n: [r.get(n) for r in recs]
-                    for n in BUILD_META_SCHEMA.names}
-            return pa.table(cols, schema=BUILD_META_SCHEMA)
-
-    ds = ray.data.from_items(
-        [{"payload": json.dumps(b, default=str)} for b in builds])
-    out = ds.map_batches(MetaFetcher, batch_size=32,
-                         concurrency=concurrency)
-    # iter_batches, not to_arrow_refs: the latter fetches the schema by
-    # running the plan again on one block, i.e. fetching inventories twice
-    tables = [t for t in out.iter_batches(batch_format="pyarrow",
-                                          batch_size=None) if len(t)]
-    if not tables:
-        return pa.table({n: pa.nulls(0, BUILD_META_SCHEMA.field(n).type)
-                         for n in BUILD_META_SCHEMA.names},
-                        schema=BUILD_META_SCHEMA)
-    return pa.concat_tables(tables).cast(BUILD_META_SCHEMA)
+    factory = ray.put(fetcher_factory)
+    recs = ray.get([_meta_task.remote(b, factory) for b in builds])
+    return pa.Table.from_pylist(recs, schema=BUILD_META_SCHEMA)

@@ -10,7 +10,8 @@ no ``.staging`` dir left, even when the re-run has nothing pending.  No
 crash hook lives in library code: the tests patch the calls made outside
 the Ray workers with ``monkeypatch``.  A fault INSIDE a worker rides in
 a test-side wrapper around the block function the driver ships to its
-tasks: a worker that dies mid-tick, and a task that raises.
+tasks: a worker that dies mid-tick, and a task that raises, on the batch
+tick and on the live tick alike.
 """
 
 import glob
@@ -22,12 +23,14 @@ import pytest
 from conftest import tree_bytes
 
 from ci_log_processing_ray.config import PipelineConfig
-from ci_log_processing_ray.pipelines import flagship
+from ci_log_processing_ray.pipelines import flagship, live
 from ci_log_processing_ray.pipelines.flagship import run_pipeline
+from ci_log_processing_ray.pipelines.live import run_live
 from ci_log_processing_ray.state.manifest import ManifestStore, partition_id
 from ci_log_processing_ray.state.monitoring import Monitoring
 
 CFG = PipelineConfig(skip_debug=True)
+ZUUL = "https://zuul.example/api"
 
 
 class Crash(Exception):
@@ -180,7 +183,8 @@ def test_no_resume_crash_keeps_partition_pending(ray_session, three_inputs,
 def _fault_in_block(monkeypatch, fault):
     """Make every block function the driver ships call ``fault(block)``
     before the real one.  The wrapper is a closure, so it is pickled by
-    value and runs in the Ray worker."""
+    value and runs in the Ray worker.  ``live`` imports the name, so it
+    is patched there too."""
     real = flagship.make_block_fn
 
     def make(*args, **kwargs):
@@ -192,18 +196,23 @@ def _fault_in_block(monkeypatch, fault):
 
         return faulty
 
-    monkeypatch.setattr(flagship, "make_block_fn", make)
+    for module in (flagship, live):
+        monkeypatch.setattr(module, "make_block_fn", make)
 
 
-def test_worker_death_mid_tick_is_retried(ray_session, three_inputs,
-                                          tmp_path, monkeypatch):
-    """A worker that dies inside the block function (``os._exit``) is
-    replaced and its file re-run: the tick completes with a clean run's
-    routed bytes, counts and manifests."""
-    paths, meta = three_inputs
-    paths = paths[:2]
+def _live_tick(n):
+    """The partition keys of a live tick over n fake builds, and a
+    function running that tick into an out dir."""
+    from test_zuul import _live_site
+
+    get_json, site = _live_site(n)
+    return ([f"zuul://b{i}" for i in range(n)],
+            lambda out: run_live(get_json, lambda: site.get, ZUUL, out, CFG))
+
+
+def _check_worker_death_is_retried(run, tmp_path, monkeypatch):
     clean_out = str(tmp_path / "clean")
-    assert run_pipeline(paths, meta, clean_out, CFG).n_pending == 2
+    assert run(clean_out).n_pending == 2
     marker = str(tmp_path / "died")
 
     def die_once(t):
@@ -213,19 +222,33 @@ def test_worker_death_mid_tick_is_retried(ray_session, three_inputs,
 
     _fault_in_block(monkeypatch, die_once)
     out = str(tmp_path / "out")
-    assert run_pipeline(paths, meta, out, CFG).n_pending == 2
+    assert run(out).n_pending == 2
     assert os.path.exists(marker)  # a worker did die
     assert _outcome(out) == _outcome(clean_out)
 
 
-def test_raising_task_fails_the_tick_cleanly(ray_session, three_inputs,
-                                             clean, tmp_path, monkeypatch):
-    """One file's task raises while the other two are still running: the
-    tick raises that error, commits no manifest, and returns only once
-    no task of it can still write into the staging tree.  A re-run
-    without the fault converges on a clean run."""
+def test_worker_death_mid_tick_is_retried(ray_session, three_inputs,
+                                          tmp_path, monkeypatch):
+    """A worker that dies inside the block function (``os._exit``) is
+    replaced and its file re-run: the tick completes with a clean run's
+    routed bytes, counts and manifests."""
     paths, meta = three_inputs
-    bad = paths[1]
+    _check_worker_death_is_retried(
+        lambda out: run_pipeline(paths[:2], meta, out, CFG), tmp_path,
+        monkeypatch)
+
+
+def test_live_worker_death_mid_tick_is_retried(ray_session, tmp_path,
+                                               monkeypatch):
+    """The same worker death inside a live tick's build task: the build
+    is fetched and written again, and the tick converges on a clean
+    one."""
+    _check_worker_death_is_retried(_live_tick(2)[1], tmp_path, monkeypatch)
+
+
+def _check_raising_task_fails_cleanly(keys, run, want, tmp_path,
+                                      monkeypatch):
+    bad = keys[1]
 
     def raise_or_linger(t):
         if t["path"][0].as_py() == bad:
@@ -241,49 +264,49 @@ def test_raising_task_fails_the_tick_cleanly(ray_session, three_inputs,
     _fault_in_block(monkeypatch, raise_or_linger)
     out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="injected fault"):
-        run_pipeline(paths, meta, out, CFG)
+        run(out)
     before = staged()
     time.sleep(1)
     assert staged() == before
     assert not glob.glob(os.path.join(out, "manifests", "*"))
 
     monkeypatch.undo()
-    assert run_pipeline(paths, meta, out, CFG).n_pending == 3
-    assert _outcome(out) == clean
+    assert run(out).n_pending == 3
+    assert _outcome(out) == want
 
 
-def _live_site():
-    """3 builds on the fake Zuul API of tests/test_zuul.py."""
-    from test_zuul import _site
+def test_raising_task_fails_the_tick_cleanly(ray_session, three_inputs,
+                                             clean, tmp_path, monkeypatch):
+    """One file's task raises while the other two are still running: the
+    tick raises that error, commits no manifest, and returns only once
+    no task of it can still write into the staging tree.  A re-run
+    without the fault converges on a clean run."""
+    paths, meta = three_inputs
+    _check_raising_task_fails_cleanly(
+        paths, lambda out: run_pipeline(paths, meta, out, CFG), clean,
+        tmp_path, monkeypatch)
 
-    builds, site = [], {}
-    for i in range(3):
-        log_url = f"https://storage.example/logs/{i}/b{i}/"
-        site.update(_site(log_url))
-        builds.append({"uuid": f"b{i}", "log_url": log_url,
-                       "result": "SUCCESS", "job_name": "tox",
-                       "end_time": "2022-03-25T17:40:40"})
 
-    def get_json(url):
-        if url.endswith("/status"):
-            return {"zuul_version": "4.10.2-1.el7"}
-        if "/builds?" in url:
-            return builds[int(url.rsplit("skip=", 1)[1]):]
-        raise AssertionError(url)
-
-    return get_json, site
+def test_live_raising_task_fails_the_tick_cleanly(ray_session, tmp_path,
+                                                  monkeypatch):
+    """The same raising task inside a live tick: one build's task
+    raises while the other two linger."""
+    keys, run = _live_tick(3)
+    clean_out = str(tmp_path / "clean")
+    assert run(clean_out).n_pending == 3
+    _check_raising_task_fails_cleanly(keys, run, _outcome(clean_out),
+                                      tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("k, after", [(1, False), (2, False), (3, True)],
                          ids=["commit1", "commit2", "after-last"])
 def test_live_rerun_after_crash_converges(ray_session, tmp_path,
                                           monkeypatch, k, after):
-    from ci_log_processing_ray.pipelines.live import run_live
+    from test_zuul import _live_site
 
     get_json, site = _live_site()
-    zuul = "https://zuul.example/api"
     clean_out = str(tmp_path / "clean")
-    assert run_live(get_json, lambda: site.get, zuul, clean_out,
+    assert run_live(get_json, lambda: site.get, ZUUL, clean_out,
                     CFG).n_pending == 3
     want = _outcome(clean_out)
     assert len(want["pids"]) == 3
@@ -291,7 +314,7 @@ def test_live_rerun_after_crash_converges(ray_session, tmp_path,
     out = str(tmp_path / "out")
     _crash_on(monkeypatch, ManifestStore, "commit", k, after=after)
     with pytest.raises(Crash):
-        run_live(get_json, lambda: site.get, zuul, out, CFG)
-    res = run_live(get_json, lambda: site.get, zuul, out, CFG)
+        run_live(get_json, lambda: site.get, ZUUL, out, CFG)
+    res = run_live(get_json, lambda: site.get, ZUUL, out, CFG)
     assert res.n_pending == {1: 3, 2: 2, 3: 0}[k]
     assert _outcome(out) == want

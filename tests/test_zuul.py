@@ -1,7 +1,8 @@
 """Live Zuul HTTP source (S1-S5/S7/M17) with offline dict-backed fakes:
-pager drift dedup, version gate, job intersection, distributed fetch
+pager drift dedup, version gate, job intersection, per-build fetch
 equivalence vs the build-dir source, meta normalization vs the
-reference oracle."""
+reference oracle, and the live tick end to end (resume, one Ray CPU,
+the CLI's --live --follow loop)."""
 
 import os
 import gzip
@@ -11,8 +12,9 @@ import pyarrow as pa
 import pytest
 
 from ci_log_processing_ray import reference_impl as ref
+from ci_log_processing_ray.config import DEFAULT_FILE_CONFIG
 from ci_log_processing_ray.sources.zuul import (
-    BuildFetcher,
+    build_rows,
     fetch_build_meta,
     files_to_check,
     filter_available_jobs,
@@ -20,7 +22,6 @@ from ci_log_processing_ray.sources.zuul import (
     iter_builds,
     normalize_build_fields,
     parse_version,
-    read_zuul_builds,
     zuul_complete_param,
 )
 
@@ -127,13 +128,39 @@ def _site(log_url):
     }
 
 
+def _rows(t: pa.Table) -> list[tuple]:
+    return list(zip(*(t[c].to_pylist() for c in ("doc_id", "line", "source"))))
+
+
+def _live_site(n: int = 3, first_id=None):
+    """n builds on a fake Zuul API, each serving ``_site``'s files;
+    with ``first_id`` the listing also carries Zuul's ``_id``s."""
+    builds, site = [], {}
+    for i in range(n):
+        log_url = f"https://storage.example/logs/{i}/b{i}/"
+        site.update(_site(log_url))
+        builds.append({"uuid": f"b{i}", "log_url": log_url,
+                       "result": "SUCCESS", "job_name": "tox",
+                       "end_time": "2022-03-25T17:40:40"})
+        if first_id is not None:
+            builds[-1]["_id"] = first_id + i
+
+    def get_json(url):
+        if url.endswith("/status"):
+            return {"zuul_version": "4.10.2-1.el7"}
+        if "/builds?" in url:
+            return builds[int(url.rsplit("skip=", 1)[1]):]
+        raise AssertionError(url)
+
+    return get_json, site
+
+
 def test_build_fetcher_rows_offline():
     log_url = "https://storage.example/logs/1/abc/"
     site = _site(log_url)
-    fetcher = BuildFetcher(lambda: site.get, tuple(
-        __import__("ci_log_processing_ray.config", fromlist=["x"]
-                   ).DEFAULT_FILE_CONFIG))
-    rows = fetcher._build_rows("abc", log_url, "SUCCESS", "e")
+    t = build_rows({"uuid": "abc", "log_url": log_url, "result": "SUCCESS",
+                    "end_time": "e"}, site.get, DEFAULT_FILE_CONFIG)
+    rows = _rows(t)
     by_file = {}
     for doc_id, line, source in rows:
         by_file.setdefault(doc_id.split("/", 1)[1].rsplit("/", 1)[0],
@@ -147,8 +174,9 @@ def test_build_fetcher_rows_offline():
 
 
 def test_build_fetcher_custom_result_for_aborted():
-    fetcher = BuildFetcher(lambda: (lambda url: None), ())
-    rows = fetcher._build_rows("u1", None, "ABORTED", "2022-03-25T17:40:37")
+    t = build_rows({"uuid": "u1", "log_url": None, "result": "ABORTED",
+                    "end_time": "2022-03-25T17:40:37"}, lambda url: None, ())
+    rows = _rows(t)
     assert rows == [("u1/custom-job-results.txt/000000",
                      "2022-03-25T17:40:37 | ABORTED", "text")]
 
@@ -168,7 +196,7 @@ def test_read_zuul_builds_matches_build_dir_source(ray_session, tmp_path):
     ]
     got = sorted(
         (r["doc_id"], r["line"], r["source"])
-        for r in read_zuul_builds(builds, lambda: site.get).take_all())
+        for b in builds for r in build_rows(b, site.get).to_pylist())
 
     root = tmp_path / "builds"
     for url, data in site.items():
@@ -359,3 +387,75 @@ def test_run_live_end_to_end_and_idempotent(ray_session, tmp_path):
     assert res2.n_pending == 0
     got2 = {r["sink"]: r["doc_count"] for r in res2.counts.to_pylist()}
     assert got2 == per_sink1
+
+
+def test_run_live_resumes_builds_keyed_by_zuul_id(ray_session, tmp_path):
+    """Zuul's /builds carries an ``_id`` beside each uuid.  The anti-join
+    key and the committed partition id derive from the same key, so a
+    second tick over the same listing has nothing pending."""
+    from ci_log_processing_ray.pipelines.live import run_live
+
+    get_json, site = _live_site(2, first_id=1000)
+    out = str(tmp_path / "out")
+    assert run_live(get_json, lambda: site.get, ZUUL, out).n_pending == 2
+    res = run_live(get_json, lambda: site.get, ZUUL, out)
+    assert res.n_pending == 0
+    assert res.n_skipped == 2
+
+
+_ONE_CPU_TICK = """
+import sys
+
+import ray
+
+ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ci_log_processing_ray.pipelines.live import run_live
+from test_zuul import ZUUL, _live_site
+
+get_json, site = _live_site(2)
+print(run_live(get_json, lambda: site.get, ZUUL, sys.argv[1]).n_pending)
+"""
+
+
+def test_run_live_on_one_ray_cpu(tmp_path):
+    """A live tick holds no Ray CPU while it waits on another task, so
+    it completes on a one-CPU cluster, in its own Ray session."""
+    import contextlib
+    import signal
+    import subprocess
+    import sys
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, RAY_ADDRESS="local", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(tests), tests, os.environ.get("PYTHONPATH", "")]))
+    # its own process group, so a hung tick's Ray processes die with it
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_TICK, str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, stderr[-2000:]
+    assert stdout.split()[-1] == "2"
+
+
+def test_cli_live_follow_polls(ray_session, tmp_path, monkeypatch, capsys):
+    """``--live --follow`` polls like the batch ``--follow``: ``--ticks``
+    live ticks ``--wait-time`` apart, the last one finding the builds
+    committed by the first."""
+    from ci_log_processing_ray import cli
+    from ci_log_processing_ray.state.manifest import ManifestStore
+
+    get_json, site = _live_site(2)
+    monkeypatch.setattr(cli, "_urllib_get_json", get_json)
+    monkeypatch.setattr(cli, "_urllib_fetcher_factory", lambda: site.get)
+    out = str(tmp_path / "out")
+    assert cli.main(["--live", "--zuul-url", ZUUL, "--out", out,
+                     "--follow", "--ticks", "2", "--wait-time", "0"]) == 0
+    got = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert got["ticks"] == 2
+    assert got["n_pending"] == 0
+    assert len(ManifestStore(os.path.join(out, "manifests")).all()) == 2
