@@ -2,24 +2,43 @@
 
 Re-expresses the reference's 6-pattern table scan
 (timestamp_patterns + try_timestamp + get_timestamp,
-logsender.py:332-365) as progressive narrowing over a string column:
+logsender.py:332-365) as progressive narrowing over a string column.
+A pattern resolves a line when its capture matches and the strptime
+grammar of its format fullmatches the capture:
 
-  for each (capture, fmt, grammar) in priority order:
-      rows still unresolved -> anchored RE2 capture (pc.extract_regex)
-      -> ASCII captures: DFA prefilter with the strptime grammar
-         (pc.match_substring_regex), then one named-group extract of
-         the fields on the rows that pass, then integer microseconds
-         assembled in numpy (days-from-civil, day-in-month check)
-      -> non-ASCII captures: datetime.strptime row by row
+  for each pattern in priority order, on the rows still unresolved:
+      ASCII lines, exact patterns (1, 2, 4, 5): ONE group-free DFA
+         pass over the line itself (pc.match_substring_regex) with the
+         pattern's line form, then one named-group extract of the
+         fields on the hits only, then integer microseconds assembled
+         in numpy (days-from-civil, day-in-month check)
+      ASCII lines, patterns 3 and 6: a group-free superset prefilter
+         on the line, then the capture path on its hits
+      non-ASCII lines: the capture path
       -> resolved rows leave the pending set
+
+  capture path: anchored RE2 capture (pc.extract_regex); an ASCII
+      capture goes through the same DFA + extract + assemble with the
+      grammar, a non-ASCII one to datetime.strptime row by row
+
+A line form is "the capture matches and the grammar fullmatches it"
+restated on the line.  Captures 1, 2 and 4 are ``\\S+`` runs joined by
+single spaces, so the line form is the grammar with those spaces
+literal, followed by Python whitespace or the end of the line.
+Capture 5 is the first 19 characters of ``[0-9-T:]``, and 19 characters
+fullmatch its grammar only with every field at its full width, which
+is its line form.  Captures 3 and 6 end in fixed-width character
+classes the grammar splits differently; they keep capture + grammar.
 
 Each grammar is the regex CPython's ``_strptime`` compiles for ``fmt``
 on ASCII input: the same component alternations, format whitespace as
 ``\\s+`` over Python's whitespace set, literal letters matched without
 case.  Unicode digits and Unicode case folding are CPython's alone, so
 a capture that is not ASCII goes to ``datetime.strptime`` itself; that
-residue is the only per-row Python.  int64 microseconds cover years
-0001-9999, the whole ``datetime`` range.
+residue is the only per-row Python.  A block whose data buffer holds no
+byte >= 0x80 (one max, ``functions.detok.non_ascii_rows``) has no
+residue and skips the per-row ASCII test.  int64 microseconds cover
+years 0001-9999, the whole ``datetime`` range.
 
 Pattern order is semantic (the greedy syslog fallback at
 logsender.py:341 matches almost anything); most real lines resolve at
@@ -34,10 +53,13 @@ from __future__ import annotations
 
 import datetime
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .detok import non_ascii_rows
 
 # Python's \s in str patterns and str.isspace() (29 code points); RE2's
 # \s is only [\t\n\f\r ].  _WS stands for \s, _NWS for \S.
@@ -72,22 +94,47 @@ _A3 = "(?i:" + "|".join(w[:3] for w in _WEEKDAYS) + ")"
 _T, _Z = "(?i:T)", "(?i:Z)"
 _SP = f"{_WS}+"
 
-# (anchored RE2 capture, strptime format, named-group grammar).  The
-# capture/format pairs are the parse spec of logsender.py:332-346.
-PATTERNS: list[tuple[str, str, str]] = [
-    (rf"^(?P<g>{_NWS}+)", "%Y-%m-%dT%H:%M:%S.%fZ",
-     rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}\.{_F}{_Z}$"),
-    (rf"^(?P<g>{_NWS}+ {_NWS}+)", "%Y-%m-%d %H:%M:%S.%f",
-     rf"^{_Y}-{_MO}-{_D}{_SP}{_HMS}\.{_F}$"),
-    (rf"^(?P<g>{_NWS}+ [0-9]{{2}}{_WS}[0-9:.]{{14}})", "%b %d %H:%M:%S.%f",
-     rf"^{_B3}{_SP}{_D}{_SP}{_HMS}\.{_F}$"),
-    (rf"^(?P<g>{_NWS}+ {_NWS}+ {_NWS}+)", "%b %d %H:%M:%S",
-     rf"^{_B3}{_SP}{_D}{_SP}{_HMS}$"),
-    (r"^(?P<g>[0-9-T:]{19})", "%Y-%m-%dT%H:%M:%S",
-     rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}$"),
-    (rf"^(?P<g>{_NWS}+ [0-9]{{2}} {_NWS}+ [0-9: ]{{14}})",
-     "%A %d %B %Y %H:%M:%S",
-     rf"^{_AFULL}{_SP}{_D}{_SP}{_BFULL}{_SP}{_Y}{_SP}{_HMS}$"),
+_END = f"(?:{_WS}|$)"  # where a \S run ends
+
+
+class _Pattern(NamedTuple):
+    capture: str  # anchored RE2 capture, group "g"
+    fmt: str      # strptime format
+    grammar: str  # named-group grammar of the capture
+    line: str     # the line form: exact, or a superset prefilter
+    exact: bool   # line form matches <=> grammar fullmatches capture
+
+
+def _on_line(grammar: str) -> str:
+    """The line form of a grammar over ``\\S+`` runs joined by single
+    spaces: those spaces literal, then the end of the last run."""
+    return grammar[:-1].replace(_SP, " ") + _END
+
+
+_G1 = rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}\.{_F}{_Z}$"
+_G2 = rf"^{_Y}-{_MO}-{_D}{_SP}{_HMS}\.{_F}$"
+_G3 = rf"^{_B3}{_SP}{_D}{_SP}{_HMS}\.{_F}$"
+_G4 = rf"^{_B3}{_SP}{_D}{_SP}{_HMS}$"
+_G5 = rf"^{_Y}-{_MO}-{_D}{_T}{_HMS}$"
+_G6 = rf"^{_AFULL}{_SP}{_D}{_SP}{_BFULL}{_SP}{_Y}{_SP}{_HMS}$"
+# The capture/format pairs are the parse spec of logsender.py:332-346.
+PATTERNS: list[_Pattern] = [
+    _Pattern(rf"^(?P<g>{_NWS}+)", "%Y-%m-%dT%H:%M:%S.%fZ", _G1,
+             _on_line(_G1), True),
+    _Pattern(rf"^(?P<g>{_NWS}+ {_NWS}+)", "%Y-%m-%d %H:%M:%S.%f", _G2,
+             _on_line(_G2), True),
+    _Pattern(rf"^(?P<g>{_NWS}+ [0-9]{{2}}{_WS}[0-9:.]{{14}})",
+             "%b %d %H:%M:%S.%f", _G3,
+             rf"^{_B3} [0-9]{{2}}{_WS}[0-9:.]{{14}}", False),
+    _Pattern(rf"^(?P<g>{_NWS}+ {_NWS}+ {_NWS}+)", "%b %d %H:%M:%S", _G4,
+             _on_line(_G4), True),
+    # 19 characters of [0-9-T:]: every field at its full width
+    _Pattern(r"^(?P<g>[0-9-T:]{19})", "%Y-%m-%dT%H:%M:%S", _G5,
+             r"^(?P<Y>\d{4})-(?P<m>1[0-2]|0[1-9])-(?P<d>3[01]|[12]\d|0[1-9])"
+             r"T(?P<H>2[0-3]|[01]\d):(?P<M>[0-5]\d):(?P<S>[0-5]\d)", True),
+    _Pattern(rf"^(?P<g>{_NWS}+ [0-9]{{2}} {_NWS}+ [0-9: ]{{14}})",
+             "%A %d %B %Y %H:%M:%S", _G6,
+             rf"^{_AFULL} [0-9]{{2}} {_BFULL} [0-9: ]{{14}}", False),
 ]
 
 # The logstash date block (openstack-filters.conf:86-102) accepts 13
@@ -249,6 +296,29 @@ def normalize_logdate(
     return pa.array(us, type=pa.timestamp("us"), mask=~hit)
 
 
+def _by_capture(lines: pa.Array, p: _Pattern, today_year: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(hit mask, µs) of ``p`` on ``lines`` through its capture: the
+    grammar on ASCII captures, CPython's own strptime on the others
+    (Unicode digits, case folding and whitespace by construction)."""
+    cap = pc.struct_field(pc.extract_regex(lines, pattern=p.capture), "g")
+    if cap.null_count == len(cap):
+        return np.zeros(len(cap), dtype=bool), np.zeros(len(cap), np.int64)
+    ascii_ = pc.fill_null(pc.string_is_ascii(cap), True).to_numpy(
+        zero_copy_only=False)
+    got, got_us = _parse_fields(cap, p.grammar, today_year, ascii_)
+    for i in np.flatnonzero(~ascii_):
+        try:
+            d = datetime.datetime.strptime(cap[i].as_py(), p.fmt)
+            if d.year == 1900:
+                d = d.replace(year=today_year)
+        except ValueError:
+            continue
+        got[i] = True
+        got_us[i] = (d - _EPOCH) // _ONE_US
+    return got, got_us
+
+
 def extract_timestamps(lines: pa.Array | pa.ChunkedArray, today_year: int) -> pa.Array:
     """Extract per-line timestamps; null where no pattern matches.
 
@@ -262,30 +332,31 @@ def extract_timestamps(lines: pa.Array | pa.ChunkedArray, today_year: int) -> pa
     hit = np.zeros(n, dtype=bool)
     pending_idx = np.arange(n)
     cur = lines
-    for capture, fmt, grammar in PATTERNS:
+    wide = non_ascii_rows(lines)  # None: every line is ASCII
+    for p in PATTERNS:
         if len(pending_idx) == 0:
             break
-        cap = pc.struct_field(pc.extract_regex(cur, pattern=capture), "g")
-        if cap.null_count == len(cap):
-            continue
-        ascii_ = pc.fill_null(pc.string_is_ascii(cap), True).to_numpy(
-            zero_copy_only=False)
-        got, got_us = _parse_fields(cap, grammar, today_year, ascii_)
-        # non-ASCII captures: CPython's own strptime, as the reference
-        # (Unicode digits, case folding and whitespace by construction)
-        for i in np.flatnonzero(~ascii_):
-            try:
-                d = datetime.datetime.strptime(cap[i].as_py(), fmt)
-                if d.year == 1900:
-                    d = d.replace(year=today_year)
-            except ValueError:
-                continue
-            got[i] = True
-            got_us[i] = (d - _EPOCH) // _ONE_US
+        if p.exact:
+            got, got_us = _parse_fields(
+                cur, p.line, today_year, None if wide is None else ~wide)
+            by_cap = wide
+        else:
+            got = np.zeros(len(cur), dtype=bool)
+            got_us = np.zeros(len(cur), dtype=np.int64)
+            by_cap = pc.fill_null(pc.match_substring_regex(
+                cur, pattern=_GROUP.sub("(?:", p.line)), False).to_numpy(
+                    zero_copy_only=False)
+            if wide is not None:
+                by_cap |= wide
+        if by_cap is not None and by_cap.any():
+            idx = np.flatnonzero(by_cap)
+            got[idx], got_us[idx] = _by_capture(cur.take(idx), p, today_year)
         if got.any():
             us[pending_idx[got]] = got_us[got]
             hit[pending_idx[got]] = True
             keep = ~got
             pending_idx = pending_idx[keep]
             cur = cur.filter(pa.array(keep))
+            if wide is not None:
+                wide = wide[keep]
     return pa.array(us, type=pa.timestamp("us"), mask=~hit)

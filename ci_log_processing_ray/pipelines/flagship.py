@@ -101,20 +101,21 @@ def make_fanout_writer(staging_dir: str,
     def write_and_count(t: pa.Table) -> pa.Table:
         if len(t) == 0:
             return _PARTIAL_SCHEMA.empty_table()
-        # ONE stable sort by (partition, sink) and ONE take; each
-        # (partition, sink) file is then a zero-copy slice, its rows in
-        # block order.  One task per input file means a block is
-        # normally a single partition; mixed blocks take the same path.
+        # Each (partition, sink) group is one file, its rows in block
+        # order.  A group that is one contiguous run of the block (the
+        # normal case: one task per input file, its sinks in runs) is
+        # written as a zero-copy slice; only a group split over several
+        # runs is gathered.
         part = t["_partition"].combine_chunks().to_numpy(zero_copy_only=False)
         sink_enc = t["sink"].combine_chunks().dictionary_encode()
         sinks = sink_enc.dictionary.to_pylist()
         sink = sink_enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)
         key = part.astype(np.int64) * (len(sinks) + 1) + (sink + 1)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         ends = np.append(starts[1:], len(key))
-        grouped = t.take(pa.array(order)).drop_columns(["_partition", "sink"])
+        _, first_run, n_runs = np.unique(key[starts], return_index=True,
+                                         return_counts=True)
+        body = t.drop_columns(["_partition", "sink"])
         # a partition's file tag: its first row in block order, its size
         pids, first, n_rows = np.unique(part, return_index=True,
                                         return_counts=True)
@@ -122,17 +123,20 @@ def make_fanout_writer(staging_dir: str,
         for pid, i, n in zip(pids.tolist(), first.tolist(), n_rows.tolist()):
             tags[pid] = hashlib.sha1(
                 f"{t['doc_id'][i].as_py()}|{n}".encode()).hexdigest()[:8]
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            s = int(sink[order[lo]])
+        for r, runs in zip(first_run.tolist(), n_runs.tolist()):
+            lo, hi = int(starts[r]), int(ends[r])
+            s = int(sink[lo])
             if s < 0:  # a row without a sink is not written
                 continue
-            pid = int(part[order[lo]])
+            pid = int(part[lo])
+            rows = (body.slice(lo, hi - lo) if runs == 1
+                    else body.take(np.flatnonzero(key == key[lo])))
             name = pid_names[pid] if pid_names is not None else f"{pid:05d}"
             d = os.path.join(staging_dir, f"part-{name}", f"sink={sinks[s]}")
             os.makedirs(d, exist_ok=True)
             path = os.path.join(d, f"part-{tags[pid]}.parquet")
             tmp = f"{path}.tmp-{os.getpid()}"
-            pq.write_table(grouped.slice(lo, hi - lo), tmp)
+            pq.write_table(rows, tmp)
             os.replace(tmp, path)
         g = pa.table({
             "_partition": t["_partition"],
@@ -161,6 +165,42 @@ def _partition_codes(keys: pa.Array, lut: dict[str, int]) -> pa.Array:
     return pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)])
 
 
+class _BlockFn:
+    """The block function of ``make_block_fn``: plain data (the config,
+    the meta ref, the file config, the staging dir, the key index and
+    the partition names), so a task's argument pickles by reference to
+    this class instead of by value as a closure.  Its stage callables
+    are built on first call, once per process that runs it."""
+
+    def __init__(self, cfg, meta_ref, file_config, staging_dir, lut,
+                 pid_names):
+        self.args = (cfg, meta_ref, file_config, staging_dir, lut,
+                     list(pid_names))
+        self.stages = None
+
+    def __getstate__(self):
+        return self.args
+
+    def __setstate__(self, args):
+        self.args, self.stages = args, None
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        cfg, meta_ref, file_config, staging_dir, lut, pid_names = self.args
+        if self.stages is None:
+            self.stages = (make_parse_fn(cfg),
+                           make_enrich_fn(meta_ref, file_config),
+                           make_route_fn(cfg),
+                           make_fanout_writer(staging_dir, pid_names))
+        parse, enrich, route, write = self.stages
+        key = t["path"].combine_chunks()
+        t = t.drop_columns("path").append_column(
+            "_partition", _partition_codes(key, lut))
+        t = route(enrich(parse(t)))
+        # "sink" is the directory key at write time (stripped from the
+        # files); "sink_name" keeps each row's sink in the data
+        return write(t.append_column("sink_name", t["sink"]))
+
+
 def make_block_fn(
     cfg: PipelineConfig,
     meta: pa.Table,
@@ -168,7 +208,7 @@ def make_block_fn(
     staging_dir: str,
     keys: Sequence[str],
     pid_names: Sequence[str],
-):
+) -> Callable[[pa.Table], pa.Table]:
     """A tick's whole per-block transform as ONE Arrow function:
     partition id -> parse -> enrich -> route -> fan-out write.  Its
     output rows are the writer's count partials.
@@ -180,22 +220,8 @@ def make_block_fn(
     broadcast once as an object ref; each worker process builds its
     enrich state from it on first use.
     """
-    lut = {k: i for i, k in enumerate(keys)}
-    parse = make_parse_fn(cfg)
-    enrich = make_enrich_fn(ray.put(meta), file_config)
-    route = make_route_fn(cfg)
-    write = make_fanout_writer(staging_dir, pid_names)
-
-    def process_block(t: pa.Table) -> pa.Table:
-        key = t["path"].combine_chunks()
-        t = t.drop_columns("path").append_column(
-            "_partition", _partition_codes(key, lut))
-        t = route(enrich(parse(t)))
-        # "sink" is the directory key at write time (stripped from the
-        # files); "sink_name" keeps each row's sink in the data
-        return write(t.append_column("sink_name", t["sink"]))
-
-    return process_block
+    return _BlockFn(cfg, ray.put(meta), file_config, staging_dir,
+                    {k: i for i, k in enumerate(keys)}, pid_names)
 
 
 def _add_file_key(t: pa.Table) -> pa.Table:

@@ -30,9 +30,21 @@ here as vectorized Arrow kernels:
   patterns (the regexes are the parse SPEC restated, not copied code;
   grok's Oniguruma ``(?m)`` means dot-matches-newline, hence ``(?s)``
   here so logmessage spans joined lines).
+* ``PARSE_PATTERNS`` -- the parse stage's narrowing of the same
+  patterns (``stages/parse.py:_extract_grok_cols``).  The parse emits
+  six fields (``PARSE_FIELDS``), never logdate or logmessage, so only
+  those six groups capture, and each pattern is cut where its last
+  emitted group is decided (``(?:\\s|$)``, ``\\]``, ``\\s*:``, ``:? ``):
+  the logmessage tail it drops matches any rest of the event, so the
+  narrowed pattern matches the same events with the same six groups,
+  and RE2's submatch pass no longer walks every event to its end.
+  Families that emit none of the six (console, apachecombined) are
+  skipped.  ``extract_grok_fields`` keeps the full patterns and output.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -100,6 +112,43 @@ GROK_PATTERNS: dict[str, str] = {
 
 GROK_FIELDS = ("logdate", "syslog_program", "syslog_pid", "pid",
                "loglevel", "module", "logmessage", "syslog_host")
+
+# The fields the parse stage emits: the filter chain drops logdate and
+# logmessage once used (openstack-filters.conf:105-107).
+PARSE_FIELDS = ("module", "pid", "syslog_program", "syslog_pid",
+                "syslog_host", "loglevel")
+
+_NAMED = re.compile(r"\(\?P<(\w+)>")
+# (tail, replacement): each tail ends in a logmessage ``(?s).*`` that
+# matches whatever is left of the event, so only its head decides
+_TAILS = ((r"(?:\s(?P<logmessage>.*))?$", r"(?:\s|$)"),
+          (r"\s*(?P<logmessage>.*)$", ""),
+          (r"(?P<logmessage>.*)$", ""))
+
+
+def _narrow(pattern: str, keep: tuple[str, ...]) -> str | None:
+    """``pattern`` capturing only the ``keep`` groups and cut where its
+    last kept group is decided, or None if it captures none of them.
+    The narrowed pattern matches the same events, with the same kept
+    groups, and RE2's submatch pass stops at the cut instead of walking
+    the logmessage to the end of the event."""
+    if not set(_NAMED.findall(pattern)) & set(keep):
+        return None
+    for tail, end in _TAILS:
+        if pattern.endswith(tail):
+            pattern = pattern[:-len(tail)] + end
+            break
+    else:
+        raise ValueError(f"no logmessage tail to cut in {pattern!r}")
+    return _NAMED.sub(
+        lambda m: m.group(0) if m.group(1) in keep else "(?:", pattern)
+
+
+# the parse path's patterns: families that capture none of
+# PARSE_FIELDS (console, apachecombined) have none
+PARSE_PATTERNS: dict[str, str] = {
+    family: narrowed for family, pattern in GROK_PATTERNS.items()
+    if (narrowed := _narrow(pattern, PARSE_FIELDS)) is not None}
 
 # extra columns only the apachecombined family produces
 APACHE_FIELDS = ("clientip", "ident", "auth", "verb", "request",

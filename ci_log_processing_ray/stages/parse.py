@@ -55,7 +55,7 @@ from ..config import (
     SEVERITY_NONE,
     SOURCE_TAGS,
 )
-from ..functions.detok import tokens_to_text
+from ..functions.detok import halves, tokens_to_text
 from ..functions.messages import extract_messages, extract_severity
 from ..functions.timestamps import extract_timestamps
 from ..reference_impl import INT64_MAX
@@ -93,17 +93,6 @@ PARSED_FIELDS = [
 PARSED_SCHEMA = pa.schema(PARSED_FIELDS)
 
 
-def _halves(parts: pa.ListArray) -> tuple[pa.Array, pa.Array]:
-    """Both pieces of each row of a ``max_splits=1`` split, null where
-    the row is null or held no separator."""
-    offsets = parts.offsets.to_numpy()
-    first = offsets[:-1]
-    missing = np.diff(offsets) != 2
-    values = parts.values
-    return (values.take(pa.array(first, mask=missing)),
-            values.take(pa.array(first + 1, mask=missing)))
-
-
 def split_doc_id(doc_id: pa.Array) -> tuple[pa.Array, pa.Array, pa.Array,
                                             pa.Array]:
     """(build_uuid, filename, line_no, file id) of ``build/filename/line``
@@ -115,9 +104,9 @@ def split_doc_id(doc_id: pa.Array) -> tuple[pa.Array, pa.Array, pa.Array,
     ASCII digits: the match domain of
     ``^([^/]+)/(.+)/([0-9]+)$`` (RE2 ``.`` excludes only newline).
     """
-    fid, line = _halves(pc.split_pattern(doc_id, "/", max_splits=1,
-                                         reverse=True))
-    build, fname = _halves(pc.split_pattern(fid, "/", max_splits=1))
+    fid, line = halves(pc.split_pattern(doc_id, "/", max_splits=1,
+                                        reverse=True))
+    build, fname = halves(pc.split_pattern(fid, "/", max_splits=1))
     ok = pc.and_(
         pc.and_(pc.greater(pc.binary_length(build), 0),
                 pc.greater(pc.binary_length(fname), 0)),
@@ -303,30 +292,27 @@ def _join_multiline(
     return rows.take(starts, lines=join_events(rows.lines, starts)), sums
 
 
-_GROK_COL_NAMES = ("module", "pid", "syslog_program", "syslog_pid",
-                   "syslog_host", "loglevel")
-
-
 def _extract_grok_cols(
     lines: pa.Array, src_np: np.ndarray
 ) -> dict[str, pa.Array]:
     """Per-family grok field extraction scattered back to row order
-    (openstack-filters.conf:44-77; logdate/logmessage are dropped after
-    use by the filter chain, conf:105-107, so not emitted here)."""
-    from .grok import GROK_PATTERNS, extract_grok_fields
+    (openstack-filters.conf:44-77), with the narrowed patterns that
+    capture only the emitted fields (``grok.PARSE_PATTERNS``)."""
+    from .grok import PARSE_FIELDS, PARSE_PATTERNS
 
     n = len(lines)
-    cols = {name: pa.nulls(n, pa.string()) for name in _GROK_COL_NAMES}
-    for family in GROK_PATTERNS:
+    cols = {name: pa.nulls(n, pa.string()) for name in PARSE_FIELDS}
+    for family, pattern in PARSE_PATTERNS.items():
         fam = src_np == family
         if not fam.any():
             continue
         mask = pa.array(fam)
-        sub = extract_grok_fields(lines.filter(mask), family)
-        for name in _GROK_COL_NAMES:
-            if sub[name].null_count < len(sub[name]):
-                cols[name] = pc.replace_with_mask(
-                    cols[name], mask, sub[name])
+        hit = pc.extract_regex(lines.filter(mask), pattern=pattern)
+        for field in hit.type:
+            sub = pc.struct_field(hit, field.name)
+            if sub.null_count < len(sub):
+                cols[field.name] = pc.replace_with_mask(
+                    cols[field.name], mask, sub)
     return cols
 
 

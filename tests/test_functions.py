@@ -126,6 +126,14 @@ def test_get_message_goldens():
     assert ref.get_message("2022-02-28 09:39:09.596 | ") == ""
 
 
+def test_messages_keep_newlines_golden():
+    """The multiline-joined form keeps the event's newlines; the pipe
+    branch still lstrips (newlines included), the other keeps all."""
+    got = extract_messages(pa.array(["a\nb|  c\nd", "x\ny", "|\n z", "p||q"]),
+                           keep_newlines=True)
+    assert got.to_pylist() == ["c\nd", "x\ny", "z", "|q"]
+
+
 def test_vectorized_messages_match_reference(corpus_dir):
     import pyarrow.parquet as pq
 

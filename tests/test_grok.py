@@ -5,6 +5,8 @@ and the parse-stage integration."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ci_log_processing_ray import reference_impl as ref
 from ci_log_processing_ray.config import PipelineConfig
@@ -177,6 +179,50 @@ def test_grok_multiline_message_spans_newlines():
     assert out["pid"][0].as_py() == "123"
     assert out["module"][0].as_py() == "nova.compute"
     assert "\n" in out["logmessage"][0].as_py()
+
+
+# Event heads of each grok family; a random cut and a random tail
+# (newlines, brackets, colons and pipes among them) move the places
+# where the narrowed parse-path patterns end.
+GROK_HEADS = {
+    "oslofmt": ["2024-03-05 12:00:00.123456 4567 INFO nova.compute.manager",
+                "2024-03-05 12:00:00.123 123 ERROR [nova.compute]",
+                "Mar 15 12:00:00 devstack@n-cpu.service[123]: WARNING nova",
+                "Mar  5 12:00:00 prog: DEBUG mod]",
+                "2022-03-25T17:40:37Z -1.5 AUDIT [x"],
+    "apacheerror": ["[Fri Mar 04 12:10:11 2022] [error]",
+                    "[Friday March 4 12:10:11.123 2022 +0100]  [Warning]",
+                    "x [Sun Mar 04 12:10:11 2022 UTC][crit]"],
+    "libvirt": ["2024-03-15 12:00:00.123+0000: 4567: error :",
+                "2024-03-15T12:00:00Z: -3: warning:",
+                "2024-03-15 12:00:00.123+0000: 1.5: Info  :"],
+    "syslog": ["Mar 15 12:00:00 node-07 sudo[107]: ",
+               "Mar  5 12:00:00 node-07 kernel: ",
+               "Mar 15 12:00:00 host.a:b-c prog[0]:x ",
+               "Mar 15 12:00:00 prog "],
+    "console": ["2022-03-25 17:40:37.123456 | x"],
+    "apachecombined": ['10.0.0.5 - - [15/Mar/2024:12:00:00 +0000] "quit" '
+                       '400 0 "-" "-"'],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(GROK_HEADS)), st.data())
+def test_parse_grok_cols_equal_public_fields(family, data):
+    """The parse path's narrowed patterns give the six emitted fields
+    exactly as the full patterns of ``extract_grok_fields`` do."""
+    from ci_log_processing_ray.stages.grok import PARSE_FIELDS
+    from ci_log_processing_ray.stages.parse import _extract_grok_cols
+
+    lines = data.draw(st.lists(st.builds(
+        lambda head, cut, tail: head[:len(head) - cut] + tail,
+        st.sampled_from(GROK_HEADS[family]), st.integers(0, 8),
+        st.text(" \t\n[]:|ab1.-_", max_size=12)), min_size=1, max_size=8))
+    arr = pa.array(lines, type=pa.string())
+    got = _extract_grok_cols(arr, np.array([family] * len(lines)))
+    want = extract_grok_fields(arr, family)
+    for name in PARSE_FIELDS:
+        assert got[name].to_pylist() == want[name].to_pylist(), (name, lines)
 
 
 def test_grok_parse_failure_flags_unmatched():

@@ -222,6 +222,46 @@ def test_fanout_writer_idempotent(ray_session, corpus_dir, tmp_path):
         pa.compute.sum(p1["doc_count"]).as_py())
 
 
+def test_fanout_writer_interleaved_sinks(tmp_path):
+    """A block whose (partition, sink) groups are split over several
+    runs: each file holds exactly its group's rows in block order, a
+    row without a sink is not written, and the count partials are the
+    per-(partition, sink, severity) counts and token sums."""
+    from ci_log_processing_ray.pipelines.flagship import make_fanout_writer
+
+    rows = [  # (partition, sink, severity, n_tok)
+        (0, "logstash", "INFO", 3), (0, "performance", "NONE", 5),
+        (0, "logstash", "ERROR", 7), (1, "logstash", "INFO", 11),
+        (0, "logstash", "INFO", 13), (1, "performance", "NONE", 17),
+        (1, None, "INFO", 19), (1, "logstash", "INFO", 23)]
+    part, sink, severity, n_tok = (list(c) for c in zip(*rows))
+    block = pa.table({
+        "doc_id": [f"b/f/{i}" for i in range(len(rows))],
+        "_partition": pa.array(part, pa.int32()), "sink": sink,
+        "severity": severity, "n_tok": pa.array(n_tok, pa.int32()),
+        "sink_name": sink})
+    partials = make_fanout_writer(str(tmp_path), ["a", "b"])(block)
+
+    files = {}
+    for path in glob.glob(str(tmp_path / "*" / "*" / "*.parquet")):
+        group = tuple(os.path.relpath(path, tmp_path).split(os.sep)[:2])
+        assert group not in files
+        files[group] = pq.read_table(path)["doc_id"].to_pylist()
+    assert files == {
+        ("part-a", "sink=logstash"): ["b/f/0", "b/f/2", "b/f/4"],
+        ("part-a", "sink=performance"): ["b/f/1"],
+        ("part-b", "sink=logstash"): ["b/f/3", "b/f/7"],
+        ("part-b", "sink=performance"): ["b/f/5"]}
+    counts = collections.defaultdict(lambda: [0, 0])
+    for p, k, sev, n in rows:
+        counts[(p, k, sev)][0] += 1
+        counts[(p, k, sev)][1] += n
+    got = list(zip(*(partials[c].to_pylist() for c in (
+        "_partition", "sink", "severity", "doc_count", "tok_sum"))))
+    assert len(got) == len(counts)
+    assert set(got) == {(*key, n, s) for key, (n, s) in counts.items()}
+
+
 def test_cli_end_to_end(corpus_dir, tmp_path):
     """The console entry point runs the full batch and resumes (the
     reference's logsender CLI surface), in its own Ray session."""

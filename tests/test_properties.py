@@ -51,6 +51,18 @@ line_st = st.one_of(
 @example(["2022-03-21t08:39:18.220547z | x"])
 @example(["Mar 21\x0b09:33:23.123456 host x", "2022-03-21 08:39:18.22\x0bx"])
 @example(["２０２２-03-21 08:39:18.22 x"])
+# one block of ASCII and non-ASCII lines: the line forms and the capture
+# path side by side; \x1c is Python whitespace (RE2's \s lacks it) and
+# so is \x85, the one non-ASCII
+@example(["2022-03-21T08:39:18.220547Z\x1cx", "Mar 21 09:33:23 é",
+          "2022-03-21 08:39:18.22\x85x", "Mar 21 09:33:23\x85host",
+          "２０２２-03-21 08:39:18.22 x", "2022-03-23T11:46:49+0000: x",
+          "Mar 31 04:50:23.795709 é", "Friday 25 February 2022  09:27:51 é"])
+# the same shapes in an all-ASCII block
+@example(["2022-03-21T08:39:18.220547Z\x1cx", "Mar 21 09:33:23\x1chost",
+          "2022-03-21 08:39:18.22\x1cx", "2022-03-23T11:46:49+0000: x",
+          "Mar 31 04:50:23.795709 x", "Friday 25 February 2022  09:27:51 x",
+          "2022-3-23T11:46:49+0000: x", "Mar 21  09:33:23 host"])
 def test_timestamps_match_reference(lines):
     got = extract_timestamps(pa.array(lines, type=pa.string()), 2022)
     for line, g in zip(lines, got.to_pylist()):
@@ -132,6 +144,8 @@ def test_logdate_rendered_datetimes(when, fmt_digits, offset, runs, rnd):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(line_st, min_size=1, max_size=20))
+@example(["a\nb|c\nd", "|lead", "||x", "a|\x1c\nb", "no pipe\n"])
+@example(["|", "x|", "\n|\n", "é|\n é"])
 def test_messages_match_reference(lines):
     got = extract_messages(pa.array(lines, type=pa.string()))
     for line, g in zip(lines, got.to_pylist()):
@@ -144,6 +158,27 @@ def test_severity_match_reference(lines):
     got = extract_severity(pa.array(lines, type=pa.string()))
     for line, g in zip(lines, got.to_pylist()):
         assert g == ref.get_severity(line), line
+
+
+def test_severity_keyword_beside_non_ascii_word_characters():
+    """Python's \\b is Unicode-aware: a keyword glued to a non-ASCII
+    letter or digit is no keyword."""
+    lines = ["éINFO x", "２INFO", "ÀDEBUG", "ßERRORß"]
+    assert [ref.get_severity(line) for line in lines] == ["NONE"] * 4
+    got = extract_severity(pa.array(lines + ["x INFO y"]))
+    assert got.to_pylist() == ["NONE"] * 4 + ["INFO"]
+
+
+_word_st = st.text(st.characters(categories=("L", "Nd", "Zs")), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_word_st, st.sampled_from(ref.SEVERITIES),
+                          _word_st), min_size=1, max_size=10))
+def test_severity_between_unicode_characters(parts):
+    lines = ["".join(p) for p in parts]
+    got = extract_severity(pa.array(lines, type=pa.string()))
+    assert got.to_pylist() == [ref.get_severity(line) for line in lines]
 
 
 # --------------------------------------------------------------------------
